@@ -1,9 +1,9 @@
 """Command-line entry point: every pipeline as a subcommand.
 
 Exit codes: 0 ok, 1 data error, 2 usage error.  Every run writes a manifest
-JSON (command line, config hash, seeds, version, outputs, timings) into the
-output directory; re-running with identical inputs reproduces byte-identical
-non-timing outputs.
+JSON (command line, config hash, seeds, version, outputs, timings; ingest
+adds its record counters) into the output directory; re-running with
+identical inputs reproduces byte-identical non-timing outputs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class _Run:
     def __init__(self, args, config_path=None):
         self.out_dir = Path(getattr(args, "out_dir", ".") or ".")
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.argv = sys.argv[1:]
+        self.argv = args.argv
         self.seed = getattr(args, "seed", None)
         self.threads = getattr(args, "threads", 1)
         self.outputs: list[str] = []
@@ -66,7 +66,8 @@ class _Run:
         self.outputs.append(str(p))
         return p
 
-    def finish(self):
+    def finish(self, **sections):
+        """Write the manifest; keyword arguments add command-specific sections."""
         self.timings["total_seconds"] = time.perf_counter() - self._t0
         manifest = {
             "argv": self.argv,
@@ -76,6 +77,7 @@ class _Run:
             "version": __version__,
             "outputs": self.outputs,
             "timings": self.timings,
+            **sections,
         }
         with open(self.out_dir / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
@@ -93,7 +95,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 def cmd_ingest(args) -> int:
     run = _Run(args)
-    events, _ = panel.read_events_jsonl(args.events)
+    events, malformed = panel.read_events_jsonl(args.events)
     keywords = _split(Path(args.topics).read_text()) if Path(args.topics).exists() else _split(args.topics)
     snapshot = None
     if args.follower_snapshot:
@@ -112,7 +114,7 @@ def cmd_ingest(args) -> int:
     pn.save(run.path(args.out))
     if args.csv:
         pn.to_csv(run.path(args.out + ".csv"))
-    run.finish()
+    run.finish(ingest={"malformed": malformed, "records": len(events), "agents": pn.n_agents})
     print(f"panel: {pn.n_agents} agents x {pn.n_steps} steps x {pn.n_dims} dims")
     return EXIT_OK
 
@@ -135,8 +137,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+_WEIGHTED_KINDS = ("additive", "softplus")
+
+
 def _load_value_function(name: str, weights_csv=None) -> valuefn.ValueFunction:
-    if name in ("additive", "softplus") and weights_csv:
+    if name in _WEIGHTED_KINDS:
         W = np.loadtxt(weights_csv, delimiter=",", ndmin=2)
         return valuefn.by_name(name, weights=W)
     return valuefn.by_name(name)
@@ -375,11 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if getattr(args, "f", None) in _WEIGHTED_KINDS and not args.weights:
+            ap.error(f"--f {args.f} requires --weights")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args.argv = argv
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -9,30 +9,30 @@ resonance (log1p topic-matching replies received in the step).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import logging
 import math
+import os
 import re
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import AspanelError, EmptyPanelError
 
-log = logging.getLogger(__name__)
-
 EVENT_KINDS = ("post", "reply", "repost", "follow")
+_KIND_CODE = {k: c for c, k in enumerate(EVENT_KINDS)}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 DEFAULT_DIM_NAMES = ("reach", "activity", "resonance")
 DEFAULT_CUT_FRACTIONS = (0.01, 0.10, 1.00)
 
 _MAGIC = b"ASP1"
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     ts: int  # UTC seconds
     actor: str
     kind: str
@@ -40,8 +40,16 @@ class EventRecord:
     target: Optional[str] = None
 
     def validate(self) -> None:
+        if not isinstance(self.ts, (int, np.integer)) or not _INT64_MIN <= self.ts <= _INT64_MAX:
+            raise ValueError(f"ts {self.ts!r} is not an int64 timestamp")
+        if not isinstance(self.actor, str):
+            raise ValueError(f"actor {self.actor!r} is not a string")
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
+        if not isinstance(self.text, (str, type(None))):
+            raise ValueError(f"text {self.text!r} is neither a string nor null")
+        if not isinstance(self.target, (str, type(None))):
+            raise ValueError(f"target {self.target!r} is neither a string nor null")
         if self.kind in ("follow", "reply") and not self.target:
             raise ValueError(f"{self.kind} event requires a target")
 
@@ -119,9 +127,14 @@ class FeaturePanel:
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
                 raise AspanelError(f"{path}: not an ASP1 panel file")
-            n, t, d = struct.unpack("<3q", fh.read(24))
-            payload = fh.read(8 * n * t * d)
-            feats = np.frombuffer(payload, dtype="<f8").reshape(n, t, d).copy()
+            header = fh.read(24)
+            if len(header) != 24:
+                raise AspanelError(f"{path}: truncated ASP1 header")
+            n, t, d = struct.unpack("<3q", header)
+            size = 8 * n * t * d
+            if min(n, t, d) < 0 or size > os.fstat(fh.fileno()).st_size - 28:
+                raise AspanelError(f"{path}: truncated ASP1 payload for N,T,D = {n},{t},{d}")
+            feats = np.frombuffer(fh.read(size), dtype="<f8").reshape(n, t, d).copy()
             ids = fh.read().decode("utf-8").split("\n")
         if len(ids) != n:
             raise AspanelError(f"{path}: agent id count {len(ids)} != header N={n}")
@@ -141,7 +154,13 @@ class FeaturePanel:
 
 
 def read_events_jsonl(path) -> tuple[list[EventRecord], int]:
-    """Parse a JSONL event file; malformed lines are skipped and counted."""
+    """Parse a JSONL event file; malformed lines are skipped and counted.
+
+    A line is malformed when it is not one JSON object (trailing data
+    included), lacks ``ts``/``actor``/``kind``, has a ``ts`` that is not an
+    int64 integer, or fails ``EventRecord.validate``.
+    """
+    decode = json.JSONDecoder().raw_decode
     events, bad = [], 0
     with open(path) as fh:
         for line in fh:
@@ -149,17 +168,14 @@ def read_events_jsonl(path) -> tuple[list[EventRecord], int]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                rec = EventRecord(
-                    ts=int(obj["ts"]),
-                    actor=str(obj["actor"]),
-                    kind=str(obj["kind"]),
-                    text=obj.get("text"),
-                    target=obj.get("target"),
-                )
+                obj, end = decode(line)
+                if end != len(line):
+                    raise ValueError("trailing data after the JSON value")
+                rec = EventRecord(int(obj["ts"]), str(obj["actor"]), str(obj["kind"]),
+                                  obj.get("text"), obj.get("target"))
                 rec.validate()
                 events.append(rec)
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
                 bad += 1
     if bad:
         warnings.warn(f"skipped {bad} malformed event records", stacklevel=2)
@@ -169,8 +185,70 @@ def read_events_jsonl(path) -> tuple[list[EventRecord], int]:
 def _matches(text: Optional[str], keywords_lower: list[str]) -> bool:
     if not text:
         return False
-    low = text.lower()
-    return any(k in low for k in keywords_lower)
+    return any(map(text.lower().__contains__, keywords_lower))
+
+
+def _pair_counts(agent: np.ndarray, bucket: np.ndarray, n: int, width: int) -> np.ndarray:
+    """(n, width) float64 table counting each (agent, bucket) pair."""
+    flat = np.bincount(agent * width + bucket, minlength=n * width)
+    return flat.reshape(n, width).astype(np.float64)
+
+
+def _count_events(events, kw, excl, window, step, n_steps, follows_from_start):
+    """Count validated events per (active agent, bucket), over columns.
+
+    Returns the sorted active agents, topical posts+reposts and topical
+    replies received per bucket (each n x T), and the follows of each agent
+    by the first bucket whose start is after them (n x T+1).  With
+    ``follows_from_start``, follows before the window start are dropped.
+    """
+    start, end = window
+    m = len(events)
+    ts = np.fromiter((e.ts for e in events), np.int64, m)
+    kind = np.fromiter((_KIND_CODE[e.kind] for e in events), np.int8, m)
+    actors = [e.actor for e in events]
+    excluded = {a for a in set(actors) if excl.search(a)} if excl else set()
+    in_window = (ts >= start) & (ts < end)
+
+    active = sorted(set(itertools.compress(actors, in_window.tolist())) - excluded)
+    if not active:
+        raise EmptyPanelError("no active agents after filtering (empty panel)")
+    index = {a: i for i, a in enumerate(active)}
+    n = len(active)
+    # agent codes: -1 = not an active agent
+    actor = np.fromiter((index.get(a, -1) for a in actors), np.int64, m)
+    target = np.fromiter((index.get(e.target, -1) for e in events), np.int64, m)
+
+    # `pos` counts the bucket starts at or before each event, so an in-window
+    # event falls in bucket pos - 1 and a follow counts from bucket pos on.
+    # Every int64 ts is past a start below int64 and before one above it.
+    starts = (start + t * step for t in range(n_steps))
+    bucket_starts = np.array([max(b, _INT64_MIN) for b in starts if b <= _INT64_MAX],
+                             dtype=np.int64)
+    pos = np.searchsorted(bucket_starts, ts, side="right")
+
+    def topical(rows: np.ndarray) -> np.ndarray:
+        return rows[np.array([_matches(events[j].text, kw) for j in rows.tolist()], dtype=bool)]
+
+    is_post = (kind == _KIND_CODE["post"]) | (kind == _KIND_CODE["repost"])
+    posts = topical(np.flatnonzero(in_window & is_post & (actor >= 0)))
+    replies = topical(np.flatnonzero(in_window & (kind == _KIND_CODE["reply"]) & (target >= 0)))
+
+    # follow events targeting an active agent from a kept actor; one at or
+    # after the last bucket start lands in column T, which no bucket counts
+    follows = np.flatnonzero((kind == _KIND_CODE["follow"]) & (target >= 0))
+    if excluded:
+        follows = follows[np.array([actors[j] not in excluded for j in follows.tolist()],
+                                   dtype=bool)]
+    if follows_from_start:
+        follows = follows[ts[follows] >= start]
+
+    return (
+        active,
+        _pair_counts(actor[posts], pos[posts] - 1, n, n_steps),
+        _pair_counts(target[replies], pos[replies] - 1, n, n_steps),
+        _pair_counts(target[follows], pos[follows], n, n_steps + 1),
+    )
 
 
 def ingest_events(
@@ -184,11 +262,11 @@ def ingest_events(
 ) -> FeaturePanel:
     """Aggregate an event stream into a 3-dim feature panel.
 
-    Order-independent: the stream is sorted by timestamp before bucketing.
-    Agents with zero events inside the window are excluded.  When a follower
-    snapshot is given it defines the count at window start and pre-window
-    follow events are ignored; otherwise followers accumulate from all
-    observed follow events.
+    Order-independent: events are counted per (agent, bucket) pair, so the
+    stream order never matters.  Agents with zero events inside the window
+    are excluded.  When a follower snapshot is given it defines the count at
+    window start and pre-window follow events are ignored; otherwise
+    followers accumulate from all observed follow events.
     """
     start, end = window
     if end <= start:
@@ -209,60 +287,20 @@ def ingest_events(
             bad += 1
     if bad:
         warnings.warn(f"skipped {bad} malformed event records", stacklevel=2)
-    events.sort(key=lambda e: e.ts)
 
-    def keep(agent: str) -> bool:
-        return excl is None or not excl.search(agent)
-
-    active = sorted(
-        {e.actor for e in events if start <= e.ts < end and keep(e.actor)}
-    )
-    if not active:
-        raise EmptyPanelError("no active agents after filtering (empty panel)")
-    index = {a: i for i, a in enumerate(active)}
-    n = len(active)
-
-    posts = np.zeros((n, n_steps))
-    replies = np.zeros((n, n_steps))
-
-    # follow events targeting an active agent (kept regardless of window;
-    # pre-window follows seed the cumulative count unless a snapshot is given)
-    follow_ts: dict[int, list[int]] = {i: [] for i in range(n)}
-    for ev in events:
-        if ev.kind == "follow" and ev.target in index and keep(ev.actor):
-            follow_ts[index[ev.target]].append(ev.ts)
-        if not (start <= ev.ts < end):
-            continue
-        t = (ev.ts - start) // step
-        if ev.kind in ("post", "repost") and ev.actor in index and _matches(ev.text, kw):
-            posts[index[ev.actor], t] += 1
-        elif ev.kind == "reply" and ev.target in index and _matches(ev.text, kw):
-            replies[index[ev.target], t] += 1
-
-    init = np.zeros(n)
+    active, activity, resonance, gained = _count_events(
+        events, kw, excl, window, step, n_steps, follower_snapshot is not None)
+    reach = np.cumsum(gained[:, :n_steps], axis=1)
     if follower_snapshot is not None:
-        for a, i in index.items():
-            init[i] = follower_snapshot.get(a, 0)
-
-    feats = np.zeros((n, n_steps, 3))
-    bucket_starts = [start + t * step for t in range(n_steps)]
-    for i in range(n):
-        ts_arr = np.asarray(follow_ts[i], dtype=np.int64)
-        if follower_snapshot is None:
-            counts = [init[i] + np.count_nonzero(ts_arr < bs) for bs in bucket_starts]
-        else:
-            counts = [
-                init[i] + np.count_nonzero((ts_arr >= start) & (ts_arr < bs))
-                for bs in bucket_starts
-            ]
-        feats[i, :, 0] = np.log1p(counts)
-
+        reach += np.array([follower_snapshot.get(a, 0) for a in active], dtype=np.float64)[:, None]
     if cumulative:
-        posts = np.cumsum(posts, axis=1)
-        replies = np.cumsum(replies, axis=1)
-    feats[:, :, 1] = np.log1p(posts)
-    feats[:, :, 2] = np.log1p(replies)
+        activity = np.cumsum(activity, axis=1)
+        resonance = np.cumsum(resonance, axis=1)
 
+    feats = np.empty((len(active), n_steps, 3))
+    feats[:, :, 0] = np.log1p(reach)
+    feats[:, :, 1] = np.log1p(activity)
+    feats[:, :, 2] = np.log1p(resonance)
     return FeaturePanel(feats, active)
 
 

@@ -62,6 +62,19 @@ class TestIngest:
         assert manifest["version"]
         assert str(out) in manifest["outputs"]
 
+    def test_manifest_records_argv_and_counters(self, events_file, tmp_path, monkeypatch):
+        with open(events_file, "a") as fh:
+            fh.write('\nnot json\n{"ts": 120, "actor": "dave", "kind": "post", "text": 3}\n')
+        monkeypatch.setattr("sys.argv", ["host", "--its-own-flag"])
+        argv = ["ingest", str(events_file), "solar",
+                "--window-start", "100", "--window-end", "300", "--step", "100",
+                "--out", str(tmp_path / "panel.asp"), "--out-dir", str(tmp_path)]
+        with pytest.warns(UserWarning, match="skipped 2 malformed"):
+            assert run(argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert manifest["ingest"] == {"malformed": 2, "records": 6, "agents": 3}
+
     def test_missing_events_is_usage_error(self, tmp_path):
         code = run(["ingest", str(tmp_path / "nope.jsonl"), "solar",
                     "--window-start", "0", "--window-end", "100", "--step", "100",
@@ -118,6 +131,22 @@ class TestAttribute:
     def test_missing_panel_is_usage_error(self, tmp_path):
         assert run(["attribute", str(tmp_path / "nope.asp"), "--f", "var",
                     "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["additive", "softplus"])
+    def test_weighted_kind_without_weights_is_usage_error(self, panel_file, tmp_path, kind):
+        assert run(["attribute", str(panel_file), "--f", kind,
+                    "--out-dir", str(tmp_path)]) == 2
+
+    def test_additive_with_weights(self, panel_file, tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text("1,0.5,2\n" * 40)  # one row per agent of the 40-agent panel
+        assert run(["attribute", str(panel_file), "--f", "additive", "--weights", str(weights),
+                    "--out", str(tmp_path / "a.csv"), "--out-dir", str(tmp_path)]) == 0
+
+    def test_truncated_panel_is_data_error(self, panel_file, tmp_path):
+        panel_file.write_bytes(panel_file.read_bytes()[:100])
+        assert run(["attribute", str(panel_file), "--f", "var",
+                    "--out-dir", str(tmp_path)]) == 1
 
 
 class TestStudy:

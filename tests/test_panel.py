@@ -1,8 +1,13 @@
 import json
 import math
+import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspanel import panel
 from aspanel.errors import AspanelError, EmptyPanelError
@@ -34,6 +39,30 @@ class TestEventRecord:
     def test_follow_needs_target(self):
         with pytest.raises(ValueError):
             panel.EventRecord(1, "a", "follow").validate()
+
+    def test_fields_and_defaults(self):
+        rec = panel.EventRecord(ts=5, actor="a", kind="reply", target="b")
+        assert (rec.ts, rec.actor, rec.kind, rec.text, rec.target) == (5, "a", "reply", None, "b")
+        assert rec == panel.EventRecord(5, "a", "reply", None, "b")
+
+    @pytest.mark.parametrize("fields", [
+        {"text": 7},
+        {"text": ["solar"]},
+        {"target": ["b"]},
+        {"target": 3},
+        {"ts": 2**63},
+        {"ts": -(2**63) - 1},
+        {"ts": 1.5},
+        {"actor": 4},
+    ])
+    def test_wrong_types_rejected(self, fields):
+        rec = panel.EventRecord(**{"ts": 1, "actor": "a", "kind": "post", **fields})
+        with pytest.raises(ValueError):
+            rec.validate()
+
+    def test_int64_edges_accepted(self):
+        panel.EventRecord(2**63 - 1, "a", "post").validate()
+        panel.EventRecord(-(2**63), "a", "post").validate()
 
 
 class TestIngest:
@@ -108,6 +137,126 @@ class TestIngest:
             pn = panel.ingest_events(evs, ["solar"], (100, 300), 100)
         assert "x" not in pn.agent_ids
 
+    def test_wrongly_typed_events_warned(self):
+        evs = make_events() + [
+            panel.EventRecord(130, "x", "post", text=12),
+            panel.EventRecord(130, "y", "reply", text="solar", target=["alice"]),
+        ]
+        with pytest.warns(UserWarning, match="skipped 2 malformed"):
+            pn = panel.ingest_events(evs, ["solar"], (100, 300), 100)
+        assert pn.agent_ids == ["alice", "bob", "carol"]
+
+
+# ---- property test against a per-event recount ----------------------------
+
+
+def recount(stream, topic_keywords, window, step, follower_snapshot=None, cumulative=False,
+             exclude_pattern=None):
+    """Reference for `ingest_events`: walks the events one by one."""
+    start, end = window
+    n_steps = (end - start) // step
+    kw = [k.lower() for k in topic_keywords]
+
+    def keep(agent):
+        return not exclude_pattern or re.search(exclude_pattern, agent) is None
+
+    def topical(text):
+        return bool(text) and any(k in text.lower() for k in kw)
+
+    valid = []
+    for ev in stream:
+        try:
+            ev.validate()
+            valid.append(ev)
+        except ValueError:
+            pass
+    ids = sorted({e.actor for e in valid if start <= e.ts < end and keep(e.actor)})
+    row = {a: i for i, a in enumerate(ids)}
+    counts = np.zeros((len(ids), n_steps, 3))
+    if follower_snapshot is not None:
+        for a, i in row.items():
+            counts[i, :, 0] = follower_snapshot.get(a, 0)
+    for e in valid:
+        if e.kind == "follow" and e.target in row and keep(e.actor):
+            for t in range(n_steps):
+                if e.ts < start + t * step and (follower_snapshot is None or e.ts >= start):
+                    counts[row[e.target], t, 0] += 1
+        if not start <= e.ts < end:
+            continue
+        t = (e.ts - start) // step
+        if e.kind in ("post", "repost") and e.actor in row and topical(e.text):
+            counts[row[e.actor], t, 1] += 1
+        elif e.kind == "reply" and e.target in row and topical(e.text):
+            counts[row[e.target], t, 2] += 1
+    if cumulative:
+        counts[:, :, 1:] = np.cumsum(counts[:, :, 1:], axis=1)
+    return ids, np.log1p(counts)
+
+
+AGENTS = ("alice", "bob", "bot7", "carol", "xbo")
+
+
+@st.composite
+def ingest_cases(draw):
+    start = draw(st.integers(-50, 50))
+    step = draw(st.integers(1, 30))
+    n_steps = draw(st.integers(1, 4))
+    end = start + n_steps * step
+    edges = [start - 1, start, end - 1, end] + [start + t * step for t in range(n_steps)]
+    ts = st.one_of(st.sampled_from(edges), st.integers(start - 2 * step, end + step))
+    event = st.builds(
+        panel.EventRecord,
+        ts=ts,
+        actor=st.sampled_from(AGENTS),
+        kind=st.sampled_from(panel.EVENT_KINDS),
+        text=st.sampled_from([None, "", "Solar farm", "lunch", "GRID down", "solarium"]),
+        target=st.one_of(st.none(), st.sampled_from(AGENTS + ("nobody",))),
+    )
+    return {
+        "stream": draw(st.lists(event, max_size=40)),
+        "topic_keywords": ["solar", "grid"],
+        "window": (start, end),
+        "step": step,
+        "exclude_pattern": draw(st.sampled_from([None, "", "^bo", "o$"])),
+    }
+
+
+@given(case=ingest_cases(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_ingest_equals_per_event_recount(case, data):
+    snapshot = data.draw(st.dictionaries(
+        st.sampled_from(AGENTS + ("nobody",)), st.integers(0, 9), max_size=3))
+    shuffled = data.draw(st.permutations(case["stream"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for options in ({}, {"follower_snapshot": snapshot}, {"cumulative": True},
+                        {"follower_snapshot": snapshot, "cumulative": True}):
+            ids, feats = recount(**case, **options)
+            for stream in (case["stream"], shuffled):
+                args = {**case, "stream": stream, **options}
+                if not ids:
+                    with pytest.raises(EmptyPanelError):
+                        panel.ingest_events(**args)
+                    continue
+                pn = panel.ingest_events(**args)
+                assert pn.agent_ids == ids
+                assert np.array_equal(pn.features, feats)
+
+
+@pytest.mark.parametrize("start", [2**63 - 60, -(2**63) - 50])
+def test_window_past_int64_edges(start):
+    # one bucket start lies outside int64; events sit on both sides of the other
+    rows = [(-10, "a", "follow", "b"), (0, "b", "post", None), (59, "a", "repost", None),
+            (60, "a", "follow", "b"), (60, "c", "reply", "a"), (110, "b", "follow", "a"),
+            (140, "c", "post", None)]
+    events = [panel.EventRecord(start + dt, actor, kind, "solar", target)
+              for dt, actor, kind, target in rows if -(2**63) <= start + dt < 2**63]
+    case = dict(stream=events, topic_keywords=["solar"], window=(start, start + 200), step=100)
+    ids, feats = recount(**case)
+    pn = panel.ingest_events(**case)
+    assert pn.agent_ids == ids and len(ids) >= 2
+    assert np.array_equal(pn.features, feats)
+
 
 class TestJsonl:
     def test_round_trip_with_bad_lines(self, tmp_path):
@@ -125,6 +274,36 @@ class TestJsonl:
         assert bad == 2
         assert [e.actor for e in events] == ["a", "c"]
 
+    @pytest.mark.parametrize("line", [
+        '{"ts": 100, "actor": "a", "kind": "post", "text": 5}',
+        '{"ts": 100, "actor": "a", "kind": "post", "text": ["solar"]}',
+        '{"ts": 100, "actor": "a", "kind": "reply", "text": "hi", "target": ["b"]}',
+        '{"ts": 100, "actor": "a", "kind": "follow", "target": {"id": "b"}}',
+        '{"ts": 9223372036854775808, "actor": "a", "kind": "post"}',
+        '{"ts": -9223372036854775809, "actor": "a", "kind": "post"}',
+        '{"ts": Infinity, "actor": "a", "kind": "post"}',
+        '{"ts": 100, "actor": "a", "kind": "post"} {"ts": 101}',
+        '{"ts": 100, "actor": "a", "kind": "post"}]',
+        '[100, "a", "post"]',
+        '"post"',
+        "[" * 100000 + "]" * 100000,
+    ])
+    def test_malformed_line_counted(self, tmp_path, line):
+        p = tmp_path / "events.jsonl"
+        good = json.dumps({"ts": 100, "actor": "g", "kind": "post", "text": "hi"})
+        p.write_text(good + "\n" + line + "\n")
+        with pytest.warns(UserWarning, match="skipped 1 malformed"):
+            events, bad = panel.read_events_jsonl(p)
+        assert bad == 1
+        assert events == [panel.EventRecord(100, "g", "post", "hi")]
+
+    def test_surrounding_whitespace_allowed(self, tmp_path):
+        p = tmp_path / "events.jsonl"
+        p.write_text('  {"ts": 7, "actor": "a", "kind": "post"}\t\n')
+        events, bad = panel.read_events_jsonl(p)
+        assert bad == 0
+        assert events == [panel.EventRecord(7, "a", "post")]
+
 
 class TestPanelContainer:
     def test_save_load_round_trip(self, tmp_path, abs_gaussian):
@@ -140,6 +319,20 @@ class TestPanelContainer:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.asp"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
+        with pytest.raises(AspanelError):
+            panel.FeaturePanel.load(path)
+
+    @pytest.mark.parametrize("keep", [4, 20, 28, 28 + 8 * 7, 28 + 8 * 15 - 3])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "p.asp"
+        panel.FeaturePanel(np.ones((5, 1, 3)), [f"u{i}" for i in range(5)]).save(path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(AspanelError):
+            panel.FeaturePanel.load(path)
+
+    def test_negative_header_rejected(self, tmp_path):
+        path = tmp_path / "p.asp"
+        path.write_bytes(b"ASP1" + struct.pack("<3q", -1, 1, 3) + b"\x00" * 64)
         with pytest.raises(AspanelError):
             panel.FeaturePanel.load(path)
 
