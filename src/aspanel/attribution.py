@@ -3,8 +3,9 @@
 Per-agent attribution fades every agent's features in simultaneously along
 the straight line from a baseline to the observed configuration and
 integrates the gradient of the macro value function along that line.  For
-the four analytic kinds with a zero baseline the integral has a closed form;
-everything else goes through the K-point midpoint rule.
+a kind that declares a closed form (see ``valuefn.KINDS``) and a zero
+baseline the integral is exact; everything else goes through the K-point
+midpoint rule.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import AspanelError, DegenerateChangeError, NonzeroBaselineError
 from .panel import FeaturePanel, TierPartition
-from .valuefn import ValueFunction, gini_ranks
+from .valuefn import ValueFunction, _as_features
 
 DEFAULT_K = 30
 DEGENERATE_TOL = 1e-12
@@ -102,46 +103,20 @@ def _result(phi, delta_v, z0, method, **meta) -> AttributionResult:
 
 
 def attribute_analytic(f: ValueFunction, features, baseline=None) -> AttributionResult:
-    """Closed-form attribution for the lin/heat/var/gini kinds, zero baseline.
+    """Closed-form attribution for the kinds that declare one, zero baseline.
 
     The closed forms are derived along the ray tau * z, so a nonzero baseline
     must go through :func:`attribute_path_integral` instead.
     """
     if not f.has_closed_form:
         raise AspanelError(f"no closed form for kind {f.kind!r}; use the midpoint engine")
-    z = np.asarray(features, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = _as_features(features)
     z0 = _resolve_baseline(baseline, z)
     if np.any(z0 != 0.0):
         raise NonzeroBaselineError(
             "closed forms hold only for the zero baseline; use attribute_path_integral"
         )
-    n, D = z.shape
-    g = z.sum(axis=1)
-    meta = {}
-
-    if f.kind == "lin":
-        phi = g / n
-        delta = float(g.mean())
-    elif f.kind == "heat":
-        sums = z.sum(axis=0)
-        val = f.evaluate(z)
-        shares = np.zeros_like(z)
-        nonzero = sums > 0
-        # coordinate blocks with zero column sum contribute nothing
-        shares[:, nonzero] = z[:, nonzero] / sums[nonzero]
-        phi = shares.sum(axis=1) * (val / D)
-        delta = val
-    elif f.kind == "var":
-        phi = g * (g - g.mean()) / n
-        delta = float(np.mean((g - g.mean()) ** 2))
-    else:  # gini
-        ranks, ties = gini_ranks(g)
-        phi = g * (2.0 * ranks - n - 1.0) / n**2
-        delta = float(phi.sum())
-        meta["gini_ties"] = ties
-
+    phi, delta, meta = f.closed_form(z)
     return _result(phi, delta, z0, {"name": "analytic", "f": f.kind}, **meta)
 
 
@@ -164,9 +139,7 @@ def attribute_path_integral(
     """
     if K < 1:
         raise AspanelError("K must be a positive integer")
-    z = np.asarray(features, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = _as_features(features)
     n, D = z.shape
     z0 = _resolve_baseline(baseline, z)
     z0_full = np.broadcast_to(z0, z.shape)
@@ -209,20 +182,14 @@ def attribute(
     seed: Optional[int] = None,
 ) -> AttributionResult:
     """Dispatch: closed form when available (zero baseline), else midpoint."""
-    if method == "analytic":
-        return attribute_analytic(f, features, baseline)
-    if method in ("midpoint", "permuted_path"):
-        path = "linear" if method == "midpoint" else "permuted"
-        return attribute_path_integral(f, features, baseline, K=K, path=path, seed=seed)
-    if method != "auto":
+    if method not in ("auto", "analytic", "midpoint", "permuted_path"):
         raise AspanelError(f"unknown method {method!r}")
-    z = np.asarray(features, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = _as_features(features)
     z0 = _resolve_baseline(baseline, z)
-    if f.has_closed_form and not np.any(z0 != 0.0):
-        return attribute_analytic(f, features, baseline)
-    return attribute_path_integral(f, features, baseline, K=K)
+    if method == "analytic" or (method == "auto" and f.has_closed_form and not np.any(z0 != 0.0)):
+        return attribute_analytic(f, z, z0)
+    path = "permuted" if method == "permuted_path" else "linear"
+    return attribute_path_integral(f, z, z0, K=K, path=path, seed=seed)
 
 
 # ---- normalization and aggregation -----------------------------------------
@@ -267,12 +234,8 @@ def attribute_temporal(
 ) -> TemporalAttributionResult:
     """Independent per-step attribution over a feature panel."""
     n, T, D = panel.features.shape
-    if isinstance(baseline, BaselineSpec) and baseline.kind == "first_step":
-        base = panel.step_slice(0)
-    elif isinstance(baseline, BaselineSpec) and baseline.kind == "population_mean":
-        base = panel.features.reshape(-1, D).mean(axis=0)  # panel-wide mean
-    else:
-        base = _resolve_baseline(baseline, panel.step_slice(0))
+    # population_mean is the panel-wide mean; first_step is the step-0 slice
+    base = _resolve_baseline(baseline, panel.features.reshape(-1, D), panel.step_slice(0))
     phi = np.empty((n, T))
     dv = np.empty(T)
     last_method = {}
@@ -281,7 +244,7 @@ def attribute_temporal(
         phi[:, t] = res.phi
         dv[t] = res.delta_v
         last_method = res.method
-    return TemporalAttributionResult(phi, dv, np.asarray(base, dtype=np.float64), last_method)
+    return TemporalAttributionResult(phi, dv, base, last_method)
 
 
 def group_share(

@@ -19,14 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .attribution import _resolve_baseline
 from .errors import AspanelError, InfeasibleError
-from .valuefn import ValueFunction
+from .valuefn import ValueFunction, _as_features
 
 EXACT_GUARD = 20
-
-# kinds whose restricted value is a function of coalition linear statistics
-# (per-dim sums, g-sum, g-square-sum, count); enables vectorized estimators
-_LINEAR_STAT_KINDS = ("lin", "heat", "var", "additive", "softplus")
 
 
 class CoalitionGame:
@@ -39,15 +36,14 @@ class CoalitionGame:
     ):
         if semantics not in ("restrict", "pin"):
             raise AspanelError(f"unknown coalition semantics {semantics!r}")
-        z = np.asarray(features, dtype=np.float64)
-        if z.ndim == 1:
-            z = z[:, None]
+        z = _as_features(features)
         self.f = f
         self.features = z
         self.semantics = semantics
-        self.baseline = (
-            np.zeros(z.shape[1]) if baseline is None else np.asarray(baseline, dtype=np.float64)
-        )
+        self.baseline = _resolve_baseline(baseline, z)
+        # per-agent statistics whose coalition sums give v(C), when f has them
+        linear = semantics == "restrict" and not np.any(self.baseline)
+        self._stats = f.agent_stats(z) if linear else None
 
     @property
     def n(self) -> int:
@@ -70,51 +66,16 @@ class CoalitionGame:
 
     @property
     def _fast(self) -> bool:
-        return (
-            self.semantics == "restrict"
-            and self.f.kind in _LINEAR_STAT_KINDS
-            and not np.any(self.baseline)
-        )
-
-    def _values_from_stats(self, sums, gsum, g2sum, count):
-        """Coalition values from per-dim sums / g-moments; empty -> 0."""
-        k = self.f.kind
-        count = np.asarray(count, dtype=np.float64)
-        safe = np.where(count > 0, count, 1.0)
-        if k == "lin":
-            vals = gsum / safe
-        elif k == "heat":
-            vals = np.log1p(np.prod(sums / safe[..., None], axis=-1))
-        elif k == "var":
-            vals = g2sum / safe - (gsum / safe) ** 2
-        elif k == "additive":
-            vals = gsum  # gsum carries sum of per-agent weighted values
-        else:  # softplus
-            a = self.f.params.get("scale", 0.35)
-            vals = np.logaddexp(0.0, a * gsum) / a
-        return np.where(count > 0, vals, 0.0)
-
-    def _agent_stats(self):
-        """Per-agent contributions to the coalition statistics."""
-        z = self.features
-        if self.f.kind in ("additive", "softplus"):
-            w = (np.asarray(self.f.params["weights"]) * z).sum(axis=1)
-            return None, w, None
-        g = z.sum(axis=1)
-        return z, g, g**2
+        return self._stats is not None
 
     def mask_values(self, masks: np.ndarray) -> np.ndarray:
         """v(C) for a (m, n) boolean coalition matrix; vectorized when the
         value is a function of coalition linear statistics."""
         masks = np.asarray(masks, dtype=bool)
         if self._fast:
-            z, g, g2 = self._agent_stats()
             m = masks.astype(np.float64)
-            count = m.sum(axis=1)
-            sums = m @ z if z is not None else None
-            gsum = m @ g
-            g2sum = m @ g2 if g2 is not None else None
-            return self._values_from_stats(sums, gsum, g2sum, count)
+            sums = [m @ s for s in self._stats]
+            return self.f.values_from_stats(sums, m.sum(axis=1))
         return np.array([self.value(np.flatnonzero(row)) for row in masks])
 
 
@@ -143,12 +104,7 @@ def _all_subset_values(game: CoalitionGame) -> np.ndarray:
     """v for every bitmask coalition, index = bitmask over agents."""
     n = game.n
     bits = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-    if game._fast:
-        return game.mask_values(bits)
-    vals = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        vals[mask] = game.value(np.flatnonzero(bits[mask]))
-    return vals
+    return game.mask_values(bits)
 
 
 def _guard(game: CoalitionGame, what: str) -> None:
@@ -204,18 +160,13 @@ def sampled_shapley(game: CoalitionGame, m: int, seed: Optional[int] = None) -> 
     n = game.n
     acc = np.zeros(n)
     acc2 = np.zeros(n)
-    fast = game._fast
-    if fast:
-        z, g, g2 = game._agent_stats()
+    count = np.arange(1, n + 1, dtype=np.float64)
     for j in range(m):
         rng = np.random.default_rng((seed, j) if seed is not None else None)
         perm = rng.permutation(n)
-        if fast:
-            count = np.arange(1, n + 1, dtype=np.float64)
-            gsum = np.cumsum(g[perm])
-            sums = np.cumsum(z[perm], axis=0) if z is not None else None
-            g2sum = np.cumsum(g2[perm]) if g2 is not None else None
-            prefix_vals = game._values_from_stats(sums, gsum, g2sum, count)
+        if game._fast:
+            sums = [np.cumsum(s[perm], axis=0) for s in game._stats]
+            prefix_vals = game.f.values_from_stats(sums, count)
         else:
             prefix_vals = np.empty(n)
             for t in range(n):

@@ -53,7 +53,6 @@ class _Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.argv = args.argv
         self.seed = getattr(args, "seed", None)
-        self.threads = getattr(args, "threads", 1)
         self.outputs: list[str] = []
         self.timings: dict[str, float] = {}
         self.config_hash = None
@@ -73,7 +72,6 @@ class _Run:
             "argv": self.argv,
             "config_hash": self.config_hash,
             "seed": self.seed,
-            "threads": self.threads,
             "version": __version__,
             "outputs": self.outputs,
             "timings": self.timings,
@@ -87,7 +85,6 @@ class _Run:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--threads", type=int, default=1)
 
 
 # ---- subcommands ------------------------------------------------------------
@@ -137,20 +134,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_WEIGHTED_KINDS = ("additive", "softplus")
-
-
-def _load_value_function(name: str, weights_csv=None) -> valuefn.ValueFunction:
-    if name in _WEIGHTED_KINDS:
-        W = np.loadtxt(weights_csv, delimiter=",", ndmin=2)
-        return valuefn.by_name(name, weights=W)
-    return valuefn.by_name(name)
+# `attribute --f` kinds (required params the CLI can supply) -> needs --weights
+_CLI_KINDS = {name: "weights" in kind.required
+              for name, kind in valuefn.KINDS.items() if set(kind.required) <= {"weights"}}
 
 
 def cmd_attribute(args) -> int:
     run = _Run(args)
     pn = panel.FeaturePanel.load(args.panel)
-    f = _load_value_function(args.f, args.weights)
+    W = np.loadtxt(args.weights, delimiter=",", ndmin=2) if _CLI_KINDS[args.f] else None
+    f = valuefn.by_name(args.f) if W is None else valuefn.by_name(args.f, weights=W)
     baseline = attribution.BaselineSpec(args.baseline)
     if args.method == "analytic" and args.baseline != "zero":
         raise NonzeroBaselineError(
@@ -295,7 +288,7 @@ def cmd_verify(args) -> int:
           f"(epsilon {report['epsilon']:.3f}, implied c {report['implied_c']})")
     # axiom spot checks on random panels
     rng = np.random.default_rng(args.seed)
-    for kind in valuefn.ANALYTIC_KINDS:
+    for kind in [name for name, k in valuefn.KINDS.items() if k.closed_form and not k.required]:
         f = valuefn.by_name(kind)
         z = np.abs(rng.standard_normal((50, 3)))
         res = attribution.attribute_analytic(f, z)
@@ -352,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attribute", help="attribute a panel file")
     p.add_argument("panel")
-    p.add_argument("--f", required=True,
-                   choices=["lin", "heat", "var", "gini", "additive", "softplus"])
+    p.add_argument("--f", required=True, choices=list(_CLI_KINDS))
     p.add_argument("--method", default="auto", choices=["auto", "analytic", "midpoint"])
     p.add_argument("--K", type=int, default=attribution.DEFAULT_K)
     p.add_argument("--baseline", default="zero",
@@ -384,17 +376,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if getattr(args, "f", None) in _WEIGHTED_KINDS and not args.weights:
+        if _CLI_KINDS.get(getattr(args, "f", None)) and not args.weights:
             ap.error(f"--f {args.f} requires --weights")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.argv = argv
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonzeroBaselineError as exc:
+    except (FileNotFoundError, NonzeroBaselineError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EmptyPanelError, DegenerateChangeError) as exc:

@@ -135,7 +135,10 @@ class FeaturePanel:
             if min(n, t, d) < 0 or size > os.fstat(fh.fileno()).st_size - 28:
                 raise AspanelError(f"{path}: truncated ASP1 payload for N,T,D = {n},{t},{d}")
             feats = np.frombuffer(fh.read(size), dtype="<f8").reshape(n, t, d).copy()
-            ids = fh.read().decode("utf-8").split("\n")
+            try:
+                ids = fh.read().decode("utf-8").split("\n")
+            except UnicodeDecodeError as exc:
+                raise AspanelError(f"{path}: agent id block is not UTF-8 ({exc.reason})") from None
         if len(ids) != n:
             raise AspanelError(f"{path}: agent id count {len(ids)} != header N={n}")
         names = tuple(dim_names) if len(dim_names) == d else tuple(f"dim{k}" for k in range(d))

@@ -10,8 +10,7 @@ three-agent counterexample as an executable self-check.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,11 +29,6 @@ class RescaleReport:
     f_kind: str = ""
     subset_seed: Optional[int] = None
     metadata: dict = None
-
-    def to_json_row(self, **extra) -> str:
-        row = {k: v for k, v in asdict(self).items() if k != "metadata"}
-        row.update(extra)
-        return json.dumps(row)
 
 
 def optimal_rescale(
@@ -155,7 +149,7 @@ def counterexample_check(K: int = 300, tol: float = 1e-12) -> dict:
     }
 
 
-def write_reports_csv(path, reports: Sequence[RescaleReport], extra_cols: Optional[dict] = None):
+def write_reports_csv(path, reports: Sequence[RescaleReport]):
     """Aggregate CSV, one row per (panel, f, seed) rescale report."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy import stats
 
-from . import attribution, baselines, valuefn
+from . import attribution, baselines
 from .attribution import AttributionResult, attribute, normalize, tier_shares
 from .errors import AspanelError, DegenerateChangeError, InfeasibleError
 from .panel import FeaturePanel, TierPartition
@@ -235,7 +235,7 @@ def deletion_faithfulness(
     step_vals = [f.evaluate(panel.features[:, t, :]) for t in range(half, T)]
     t_star = half + int(np.argmax(step_vals))
     z = panel.features[:, t_star, :]
-    base_row = np.zeros(D) if baseline_action is None else np.asarray(baseline_action)
+    base_row = attribution._resolve_baseline(baseline_action, z)
     v_full = f.evaluate(z)
     v_base = f.evaluate(np.broadcast_to(base_row, z.shape))
     denom = v_full - v_base

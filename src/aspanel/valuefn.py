@@ -13,7 +13,9 @@ Built-in kinds
 
 The first four are permutation-invariant families indexed by the number of
 agents n; the index-weighted kinds carry per-agent parameters and are
-restricted to a coalition by slicing those parameters.
+restricted to a coalition by slicing those parameters.  Each kind is one
+:class:`Kind` entry in ``KINDS``; attribution, the coalition games and the
+CLI read those entries and know no kind by name.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from scipy.stats import rankdata
 
 from .errors import AspanelError
 
-ANALYTIC_KINDS = ("lin", "heat", "var", "gini")
-BUILTIN_KINDS = ANALYTIC_KINDS + ("additive", "quadratic_cross", "softplus")
-
 # relative step for central finite differences on custom callbacks
 FD_REL_STEP = 1e-6
 
 
 def _as_features(z) -> np.ndarray:
+    """The one coercion of feature input: a finite, nonempty n x D float64 array."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
@@ -58,155 +58,269 @@ def gini_ranks(g: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 @dataclass(frozen=True)
+class Kind:
+    """One value-function kind.  Its callables take (params, z), with z an
+    n x D array that :func:`_as_features` accepted."""
+
+    evaluate: Callable
+    gradient: Callable
+    closed_form: Optional[Callable] = None  # -> (phi, delta_v, metadata), zero baseline
+    agent_stats: Optional[Callable] = None  # -> per-agent statistics, summed per coalition
+    from_stats: Optional[Callable] = None  # (params, coalition sums, sizes) -> v(C), restrict
+    required: tuple = ()  # params every caller must supply
+    agent_params: dict = field(default_factory=dict)  # name -> "rows" (n x D) | "pairs" (n x n)
+    defaults: dict = field(default_factory=dict)
+    check: Callable = lambda p: None  # raises AspanelError on invalid params
+
+
+# ---- the built-in kinds ---------------------------------------------------
+
+
+def _lin_phi(p, z):
+    g = z.sum(axis=1)
+    return g / len(g), float(g.mean()), {}
+
+
+def _heat_value(p, z) -> float:
+    return float(np.log1p(np.prod(z.mean(axis=0))))
+
+
+def _heat_gradient(p, z):
+    n, D = z.shape
+    m = z.mean(axis=0)
+    prod_others = np.array([np.prod(np.delete(m, d)) for d in range(D)])
+    row = prod_others / (n * (1.0 + np.prod(m)))
+    return np.broadcast_to(row, z.shape).copy()
+
+
+def _heat_phi(p, z):
+    # phi_i = (v / D) sum_d z_id / sum_j z_jd; a zero column sum means v = 0,
+    # so that block is skipped rather than divided by zero
+    sums = z.sum(axis=0)
+    val = _heat_value(p, z)
+    shares = np.zeros_like(z)
+    nonzero = sums != 0
+    shares[:, nonzero] = z[:, nonzero] / sums[nonzero]
+    return shares.sum(axis=1) * (val / z.shape[1]), val, {}
+
+
+def _var_value(p, z) -> float:
+    g = z.sum(axis=1)
+    return float(np.mean((g - g.mean()) ** 2))
+
+
+def _var_gradient(p, z):
+    g = z.sum(axis=1)
+    col = (2.0 / len(g)) * (g - g.mean())
+    return np.repeat(col[:, None], z.shape[1], axis=1)
+
+
+def _var_phi(p, z):
+    g = z.sum(axis=1)
+    return g * (g - g.mean()) / len(g), float(np.mean((g - g.mean()) ** 2)), {}
+
+
+def _gini_value(p, z) -> float:
+    g = z.sum(axis=1)
+    n = len(g)
+    ranks, _ = gini_ranks(g)
+    # sorted-rank identity for (1/2n^2) sum_ij |g_i - g_j|
+    return float(np.dot(2.0 * ranks - n - 1.0, g) / n**2)
+
+
+def _gini_gradient(p, z):
+    g = z.sum(axis=1)
+    n = len(g)
+    ranks, _ = gini_ranks(g)
+    col = (2.0 * ranks - n - 1.0) / n**2
+    return np.repeat(col[:, None], z.shape[1], axis=1)
+
+
+def _gini_phi(p, z):
+    g = z.sum(axis=1)
+    n = len(g)
+    ranks, ties = gini_ranks(g)
+    phi = g * (2.0 * ranks - n - 1.0) / n**2
+    return phi, float(phi.sum()), {"gini_ties": ties}
+
+
+def _quadratic_value(p, z) -> float:
+    s = z.sum(axis=1)
+    return float(np.sum(p["diag"] * z**2) + 0.5 * s @ p["coupling"] @ s)
+
+
+def _check_coupling(p) -> None:
+    C = p["coupling"]
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise AspanelError("coupling matrix must be square")
+    if not np.allclose(C, C.T):
+        raise AspanelError("coupling matrix must be symmetric")
+    if np.any(np.diag(C) != 0.0):
+        raise AspanelError("coupling matrix must have zero diagonal")
+
+
+def _softplus_value(p, z) -> float:
+    a = p["scale"]
+    # softplus(a*s)/a, overflow-safe
+    return float(np.logaddexp(0.0, a * float(np.sum(p["weights"] * z))) / a)
+
+
+def _softplus_gradient(p, z):
+    a = p["scale"]
+    s = float(np.sum(p["weights"] * z))
+    sig = 1.0 / (1.0 + math.exp(-a * s)) if a * s > -700 else 0.0
+    return sig * np.broadcast_to(p["weights"], z.shape)
+
+
+def _check_scale(p) -> None:
+    if not p["scale"] > 0:
+        raise AspanelError("softplus scale must be positive")
+
+
+def _custom_gradient(p, z):
+    if p["grad"] is not None:
+        return np.asarray(p["grad"](z), dtype=np.float64).reshape(z.shape)
+    # central finite differences, one coordinate at a time
+    fn, out, work = p["fn"], np.empty_like(z), z.copy()
+    for i, d in np.ndindex(*z.shape):
+        h = max(FD_REL_STEP, FD_REL_STEP * abs(z[i, d]))
+        work[i, d] = z[i, d] + h
+        fp = float(fn(work))
+        work[i, d] = z[i, d] - h
+        out[i, d] = (fp - float(fn(work))) / (2.0 * h)
+        work[i, d] = z[i, d]
+    return out
+
+
+def _weighted_sums(p, z):
+    return ((p["weights"] * z).sum(axis=1),)
+
+
+KINDS: dict[str, Kind] = {
+    "lin": Kind(
+        evaluate=lambda p, z: float(z.sum(axis=1).mean()),
+        gradient=lambda p, z: np.full_like(z, 1.0 / z.shape[0]),
+        closed_form=_lin_phi,
+        agent_stats=lambda p, z: (z.sum(axis=1),),
+        from_stats=lambda p, s, count: s[0] / count,
+    ),
+    "heat": Kind(
+        evaluate=_heat_value, gradient=_heat_gradient, closed_form=_heat_phi,
+        agent_stats=lambda p, z: (z,),
+        from_stats=lambda p, s, count: np.log1p(np.prod(s[0] / count[..., None], axis=-1)),
+    ),
+    "var": Kind(
+        evaluate=_var_value, gradient=_var_gradient, closed_form=_var_phi,
+        agent_stats=lambda p, z: (z.sum(axis=1), z.sum(axis=1) ** 2),
+        from_stats=lambda p, s, count: s[1] / count - (s[0] / count) ** 2,
+    ),
+    "gini": Kind(evaluate=_gini_value, gradient=_gini_gradient, closed_form=_gini_phi),
+    "additive": Kind(
+        evaluate=lambda p, z: float(np.sum(p["weights"] * z)),
+        gradient=lambda p, z: np.broadcast_to(p["weights"], z.shape).copy(),
+        agent_stats=_weighted_sums, from_stats=lambda p, s, count: s[0],
+        required=("weights",), agent_params={"weights": "rows"},
+    ),
+    "quadratic_cross": Kind(
+        evaluate=_quadratic_value,
+        gradient=lambda p, z: 2.0 * p["diag"] * z + (p["coupling"] @ z.sum(axis=1))[:, None],
+        required=("diag", "coupling"), agent_params={"diag": "rows", "coupling": "pairs"},
+        check=_check_coupling,
+    ),
+    "softplus": Kind(
+        evaluate=_softplus_value, gradient=_softplus_gradient,
+        agent_stats=_weighted_sums,
+        from_stats=lambda p, s, count: np.logaddexp(0.0, p["scale"] * s[0]) / p["scale"],
+        required=("weights",), agent_params={"weights": "rows"},
+        defaults={"scale": 0.35}, check=_check_scale,
+    ),
+    "custom": Kind(
+        evaluate=lambda p, z: float(p["fn"](z)), gradient=_custom_gradient,
+        required=("fn",), defaults={"grad": None},
+    ),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class ValueFunction:
     """A tagged member of the macro value-function family.
 
     Immutable after construction; ``evaluate`` and ``gradient`` are pure.
-    Custom callbacks must be safe for concurrent invocation unless
-    ``single_threaded`` is set.
+    Equality and hashing are by identity: params hold arrays and callbacks.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    single_threaded: bool = False
+    _spec: Kind = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in BUILTIN_KINDS + ("custom",):
+        spec = KINDS.get(self.kind)
+        if spec is None:
             raise AspanelError(f"unknown value-function kind {self.kind!r}")
-        if self.kind == "quadratic_cross":
-            C = np.asarray(self.params["coupling"], dtype=np.float64)
-            if C.shape[0] != C.shape[1]:
-                raise AspanelError("coupling matrix must be square")
-            if not np.allclose(C, C.T):
-                raise AspanelError("coupling matrix must be symmetric")
-            if np.any(np.diag(C) != 0.0):
-                raise AspanelError("coupling matrix must have zero diagonal")
-        if self.kind == "softplus" and not self.params.get("scale", 0.35) > 0:
-            raise AspanelError("softplus scale must be positive")
+        missing = [name for name in spec.required if name not in self.params]
+        if missing:
+            raise AspanelError(f"value function {self.kind!r} needs {', '.join(missing)}")
+        params = {**spec.defaults, **self.params}
+        for name in spec.agent_params:
+            params[name] = np.asarray(params[name], dtype=np.float64)
+        spec.check(params)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_spec", spec)
 
-    # ---- evaluation -----------------------------------------------------
+    def _check(self, z: np.ndarray) -> np.ndarray:
+        """Return z after checking that every per-agent param matches its n x D."""
+        n, D = z.shape
+        for name, layout in self._spec.agent_params.items():
+            shape = self.params[name].shape
+            if shape not in (((n, n),) if layout == "pairs" else ((n, D), (n, 1))):
+                raise AspanelError(f"{name} of shape {shape} does not fit {n} agents x {D} dims")
+        return z
 
     def evaluate(self, features) -> float:
-        z = _as_features(features)
-        n = z.shape[0]
-        k = self.kind
-        if k == "lin":
-            return float(z.sum(axis=1).mean())
-        if k == "heat":
-            m = z.mean(axis=0)
-            return float(np.log1p(np.prod(m)))
-        if k == "var":
-            g = z.sum(axis=1)
-            return float(np.mean((g - g.mean()) ** 2))
-        if k == "gini":
-            g = z.sum(axis=1)
-            ranks, _ = gini_ranks(g)
-            # sorted-rank identity for (1/2n^2) sum_ij |g_i - g_j|
-            return float(np.dot(2.0 * ranks - n - 1.0, g) / n**2)
-        if k == "additive":
-            W = self.params["weights"]
-            return float(np.sum(W * z))
-        if k == "quadratic_cross":
-            Q = self.params["diag"]
-            C = self.params["coupling"]
-            s = z.sum(axis=1)
-            return float(np.sum(Q * z**2) + 0.5 * s @ C @ s)
-        if k == "softplus":
-            a = self.params.get("scale", 0.35)
-            W = self.params["weights"]
-            s = float(np.sum(W * z))
-            # softplus(a*s)/a, overflow-safe
-            return float(np.logaddexp(0.0, a * s) / a)
-        return float(self.params["fn"](z))
+        return self._spec.evaluate(self.params, self._check(_as_features(features)))
 
     def gradient(self, features) -> np.ndarray:
-        z = _as_features(features)
-        n, D = z.shape
-        k = self.kind
-        if k == "lin":
-            return np.full_like(z, 1.0 / n)
-        if k == "heat":
-            m = z.mean(axis=0)
-            H = np.prod(m)
-            prod_others = np.array([np.prod(np.delete(m, d)) for d in range(D)])
-            row = prod_others / (n * (1.0 + H))
-            return np.broadcast_to(row, z.shape).copy()
-        if k == "var":
-            g = z.sum(axis=1)
-            col = (2.0 / n) * (g - g.mean())
-            return np.repeat(col[:, None], D, axis=1)
-        if k == "gini":
-            g = z.sum(axis=1)
-            ranks, _ = gini_ranks(g)
-            col = (2.0 * ranks - n - 1.0) / n**2
-            return np.repeat(col[:, None], D, axis=1)
-        if k == "additive":
-            return np.array(self.params["weights"], dtype=np.float64).reshape(n, D)
-        if k == "quadratic_cross":
-            Q = np.asarray(self.params["diag"], dtype=np.float64)
-            C = np.asarray(self.params["coupling"], dtype=np.float64)
-            s = z.sum(axis=1)
-            return 2.0 * Q * z + (C @ s)[:, None]
-        if k == "softplus":
-            a = self.params.get("scale", 0.35)
-            W = np.asarray(self.params["weights"], dtype=np.float64)
-            s = float(np.sum(W * z))
-            sig = 1.0 / (1.0 + math.exp(-a * s)) if a * s > -700 else 0.0
-            return sig * W
-        grad_fn = self.params.get("grad")
-        if grad_fn is not None:
-            return np.asarray(grad_fn(z), dtype=np.float64).reshape(n, D)
-        return self._fd_gradient(z)
+        return self._spec.gradient(self.params, self._check(_as_features(features)))
 
-    def _fd_gradient(self, z: np.ndarray) -> np.ndarray:
-        fn = self.params["fn"]
-        out = np.empty_like(z)
-        work = z.copy()
-        for i in range(z.shape[0]):
-            for d in range(z.shape[1]):
-                h = max(FD_REL_STEP, FD_REL_STEP * abs(z[i, d]))
-                orig = work[i, d]
-                work[i, d] = orig + h
-                fp = float(fn(work))
-                work[i, d] = orig - h
-                fm = float(fn(work))
-                work[i, d] = orig
-                out[i, d] = (fp - fm) / (2.0 * h)
-        return out
+    def closed_form(self, z: np.ndarray) -> tuple[np.ndarray, float, dict]:
+        """(phi, delta_v, metadata) of the path integral from the zero
+        baseline; z is an array that :func:`_as_features` accepted."""
+        return self._spec.closed_form(self.params, self._check(z))
 
-    # ---- structure ------------------------------------------------------
+    def agent_stats(self, z: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
+        """Per-agent statistics whose sums over a coalition C give v(C) under
+        restrict semantics (see :meth:`values_from_stats`), or None; z as above."""
+        stats = self._spec.agent_stats
+        return None if stats is None else stats(self.params, self._check(z))
+
+    def values_from_stats(self, sums: Sequence[np.ndarray], count) -> np.ndarray:
+        """v(C) from coalition sums of :meth:`agent_stats` and sizes; empty -> 0."""
+        count = np.asarray(count, dtype=np.float64)
+        safe = np.where(count > 0, count, 1.0)
+        return np.where(count > 0, self._spec.from_stats(self.params, sums, safe), 0.0)
 
     @property
     def has_closed_form(self) -> bool:
-        return self.kind in ANALYTIC_KINDS
+        return self._spec.closed_form is not None
 
     @property
     def permutation_invariant(self) -> bool:
-        if self.kind in ANALYTIC_KINDS:
-            return True
-        if self.kind == "softplus":
-            # invariant only when every agent shares the same weight row
-            W = np.asarray(self.params["weights"])
-            return bool(np.all(W == W[0]))
-        return False
+        """Relabelling agents cannot change f: every required param is a
+        per-agent row param with all rows equal (the families have none)."""
+        spec, p = self._spec, self.params
+        return all(spec.agent_params.get(name) == "rows" and bool(np.all(p[name] == p[name][0]))
+                   for name in spec.required)
 
     def restrict(self, indices: Sequence[int]) -> "ValueFunction":
-        """Restrict an index-weighted kind to a coalition by slicing params.
-
-        Family kinds (lin/heat/var/gini, and custom) are returned unchanged:
-        their definition already adapts to the input size.
-        """
+        """Restrict to a coalition by slicing the per-agent params; a kind
+        without any (lin/heat/var/gini, custom) adapts to n and is returned as is."""
+        if not self._spec.agent_params:
+            return self
         idx = np.asarray(indices, dtype=np.int64)
-        if self.kind == "additive":
-            return additive(np.asarray(self.params["weights"])[idx])
-        if self.kind == "quadratic_cross":
-            C = np.asarray(self.params["coupling"])
-            return quadratic_cross(np.asarray(self.params["diag"])[idx], C[np.ix_(idx, idx)])
-        if self.kind == "softplus":
-            return softplus_aggregator(
-                np.asarray(self.params["weights"])[idx], self.params.get("scale", 0.35)
-            )
-        return self
+        params = dict(self.params)
+        for name, layout in self._spec.agent_params.items():
+            params[name] = params[name][np.ix_(idx, idx) if layout == "pairs" else idx]
+        return ValueFunction(self.kind, params)
 
 
 # ---- constructors -------------------------------------------------------
@@ -229,41 +343,25 @@ def gini() -> ValueFunction:
 
 
 def additive(weights) -> ValueFunction:
-    return ValueFunction("additive", {"weights": np.asarray(weights, dtype=np.float64)})
+    return ValueFunction("additive", {"weights": weights})
 
 
 def quadratic_cross(diag, coupling) -> ValueFunction:
-    return ValueFunction(
-        "quadratic_cross",
-        {
-            "diag": np.asarray(diag, dtype=np.float64),
-            "coupling": np.asarray(coupling, dtype=np.float64),
-        },
-    )
+    return ValueFunction("quadratic_cross", {"diag": diag, "coupling": coupling})
 
 
 def softplus_aggregator(weights, scale: float = 0.35) -> ValueFunction:
-    return ValueFunction(
-        "softplus", {"weights": np.asarray(weights, dtype=np.float64), "scale": float(scale)}
-    )
+    return ValueFunction("softplus", {"weights": weights, "scale": float(scale)})
 
 
-def custom(fn: Callable, grad: Optional[Callable] = None, single_threaded: bool = False) -> ValueFunction:
-    return ValueFunction("custom", {"fn": fn, "grad": grad}, single_threaded=single_threaded)
+def custom(fn: Callable, grad: Optional[Callable] = None) -> ValueFunction:
+    return ValueFunction("custom", {"fn": fn, "grad": grad})
 
 
-def by_name(name: str, **kwargs) -> ValueFunction:
-    """Resolve a CLI/config tag into a ValueFunction."""
-    simple = {"lin": linear_mean, "heat": heat, "var": variance, "gini": gini}
-    if name in simple:
-        return simple[name]()
-    if name == "additive":
-        return additive(kwargs["weights"])
-    if name == "quadratic_cross":
-        return quadratic_cross(kwargs["diag"], kwargs["coupling"])
-    if name == "softplus":
-        return softplus_aggregator(kwargs["weights"], kwargs.get("scale", 0.35))
-    raise AspanelError(f"unknown value function {name!r}")
+def by_name(name: str, **params) -> ValueFunction:
+    """Resolve a CLI/config tag into a ValueFunction; ``params`` supply the
+    kind's required parameters, such as ``weights``."""
+    return ValueFunction(name, params)
 
 
 # ---- module-level operations --------------------------------------------

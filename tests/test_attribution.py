@@ -57,6 +57,25 @@ class TestClosedForms:
             )
 
 
+
+class TestAnalyticInput:
+    @pytest.mark.parametrize("make", [valuefn.linear_mean, valuefn.variance, valuefn.gini])
+    def test_nan_features_rejected(self, make):
+        z = np.ones((5, 2))
+        z[1, 0] = np.nan
+        with pytest.raises(AspanelError):
+            attribution.attribute_analytic(make(), z)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heat_keeps_mass_on_signed_panels(self, seed):
+        # a column sum of either sign enters the shares; dropping the
+        # negative ones lost mass on signed panels
+        z = np.random.default_rng(seed).uniform(-1, 1, (200, 3))
+        res = attribution.attribute_analytic(valuefn.heat(), z)
+        mid = attribution.attribute_path_integral(valuefn.heat(), z, K=200)
+        assert res.efficiency_residual() <= 1e-12 * abs(res.delta_v)
+        assert np.abs(res.phi - mid.phi).max() <= 1e-9
+
 class TestMidpoint:
     @pytest.mark.parametrize("make", ANALYTIC)
     def test_converges_to_closed_form(self, make, abs_gaussian):

@@ -99,6 +99,11 @@ class TestSynth:
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         assert run(["synth", "--out-dir", str(tmp_path)]) == 2
 
+    def test_no_threads_flag_or_manifest_key(self, panel_file, tmp_path):
+        assert "threads" not in json.loads((tmp_path / "manifest.json").read_text())
+        assert run(["synth", "--n-agents", "5", "--threads", "2",
+                    "--out-dir", str(tmp_path)]) == 2
+
 
 class TestAttribute:
     def test_csv_and_summary(self, panel_file, tmp_path):
@@ -142,6 +147,17 @@ class TestAttribute:
         weights.write_text("1,0.5,2\n" * 40)  # one row per agent of the 40-agent panel
         assert run(["attribute", str(panel_file), "--f", "additive", "--weights", str(weights),
                     "--out", str(tmp_path / "a.csv"), "--out-dir", str(tmp_path)]) == 0
+
+    def test_weights_not_one_row_per_agent_is_data_error(self, panel_file, tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text("1,0.5\n" * 3)  # 3 x 2 for a 40 x 3 panel
+        assert run(["attribute", str(panel_file), "--f", "additive", "--weights", str(weights),
+                    "--out", str(tmp_path / "a.csv"), "--out-dir", str(tmp_path)]) == 1
+
+    def test_non_utf8_agent_ids_is_data_error(self, panel_file, tmp_path):
+        panel_file.write_bytes(panel_file.read_bytes()[:-1] + b"\xff")
+        assert run(["attribute", str(panel_file), "--f", "var",
+                    "--out-dir", str(tmp_path)]) == 1
 
     def test_truncated_panel_is_data_error(self, panel_file, tmp_path):
         panel_file.write_bytes(panel_file.read_bytes()[:100])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspanel import valuefn
+from aspanel import attribution, baselines, cli, valuefn
 from aspanel.errors import AspanelError
 
 
@@ -22,6 +22,25 @@ def fd_gradient(f, z, h=1e-6):
             zm[i, d] -= step
             out[i, d] = (f.evaluate(zp) - f.evaluate(zm)) / (2 * step)
     return out
+
+
+def build(name, n, d, rng):
+    """A ``name`` value function for n agents x d dims with random
+    parameters, or None when a required parameter is a callback."""
+    kind = valuefn.KINDS[name]
+    params = {}
+    for param in kind.required:
+        layout = kind.agent_params.get(param)
+        if layout == "rows":
+            params[param] = rng.random((n, d)) + 0.1
+        elif layout == "pairs":
+            C = rng.random((n, n))
+            C = (C + C.T) / 2
+            np.fill_diagonal(C, 0.0)
+            params[param] = C
+        else:
+            return None
+    return valuefn.by_name(name, **params)
 
 
 class TestEvaluate:
@@ -191,3 +210,66 @@ class TestValidation:
     def test_bad_kind_rejected(self):
         with pytest.raises(AspanelError):
             valuefn.ValueFunction("mystery")
+
+
+    def test_agent_param_rows_checked_against_features(self, rng):
+        f = valuefn.additive(rng.random((3, 2)))
+        with pytest.raises(AspanelError):
+            f.gradient(rng.random((40, 3)))
+        with pytest.raises(AspanelError):
+            f.evaluate(rng.random((40, 3)))
+
+    def test_by_name_missing_param_rejected(self):
+        with pytest.raises(AspanelError):
+            valuefn.by_name("additive")
+
+
+class TestIdentity:
+    def test_equality_and_hash_by_identity(self, rng):
+        W = rng.random((4, 3))
+        f = valuefn.additive(W)
+        assert f == f
+        assert f != valuefn.additive(W)
+        assert len({f, valuefn.heat(), valuefn.heat()}) == 3
+        assert {f: 1}[f] == 1
+
+
+class TestEveryKind:
+    """Driven by ``valuefn.KINDS``: a new kind is covered without edits here."""
+
+    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.closed_form])
+    def test_closed_form_matches_midpoint(self, name, abs_gaussian, rng):
+        f = build(name, 40, 3, rng)
+        if f is None:
+            pytest.skip(f"{name} needs a callback parameter")
+        z = abs_gaussian(40, seed=50)
+        ref = attribution.attribute_analytic(f, z)
+        mid = attribution.attribute_path_integral(f, z, K=200)
+        # the midpoint rule's error is O(1/K^2) relative to the attribution mass
+        assert np.abs(mid.phi - ref.phi).sum() <= np.abs(ref.phi).sum() / 200**2
+        assert mid.delta_v == pytest.approx(ref.delta_v, rel=1e-12)
+
+    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.agent_stats])
+    def test_mask_values_match_scalar_path(self, name, abs_gaussian, rng):
+        f = build(name, 8, 3, rng)
+        if f is None:
+            pytest.skip(f"{name} needs a callback parameter")
+        game = baselines.CoalitionGame(f, abs_gaussian(8, seed=51))
+        assert game._fast
+        masks = rng.random((30, 8)) < 0.5
+        slow = np.array([game.value(np.flatnonzero(row)) for row in masks])
+        assert game.mask_values(masks) == pytest.approx(slow, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("name", list(valuefn.KINDS))
+    def test_cli_offers_every_kind_it_can_supply(self, name, tmp_path, capsys):
+        required = set(valuefn.KINDS[name].required)
+        panel_path = tmp_path / "p.asp"
+        assert cli.main(["synth", "--n-agents", "12", "--seed", "4", "--out", str(panel_path),
+                         "--out-dir", str(tmp_path)]) == 0
+        argv = ["attribute", str(panel_path), "--f", name, "--out-dir", str(tmp_path),
+                "--out", str(tmp_path / "a.csv")]
+        if "weights" in required:
+            weights = tmp_path / "w.csv"
+            weights.write_text("1,0.5,2\n" * 12)
+            argv += ["--weights", str(weights)]
+        assert cli.main(argv) == (0 if required <= {"weights"} else 2)
