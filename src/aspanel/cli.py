@@ -142,7 +142,12 @@ _CLI_KINDS = {name: "weights" in kind.required
 def cmd_attribute(args) -> int:
     run = _Run(args)
     pn = panel.FeaturePanel.load(args.panel)
-    W = np.loadtxt(args.weights, delimiter=",", ndmin=2) if _CLI_KINDS[args.f] else None
+    W = None
+    if _CLI_KINDS[args.f]:
+        try:
+            W = np.loadtxt(args.weights, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise AspanelError(f"{args.weights}: not a numeric CSV matrix ({exc})") from None
     f = valuefn.by_name(args.f) if W is None else valuefn.by_name(args.f, weights=W)
     baseline = attribution.BaselineSpec(args.baseline)
     if args.method == "analytic" and args.baseline != "zero":
@@ -207,30 +212,32 @@ def cmd_study(args) -> int:
         anchor_name="reach",
     )
     f_names = _split(cfg.get("f", "var"))
-    protocols = _split(cfg.get("protocols", "bias_visibility random"))
     sizes = [int(x) for x in _split(cfg.get("sizes", "100"))]
     seeds = [int(x) for x in _split(cfg.get("seeds", " ".join(map(str, range(10)))))]
+    pool_fraction = float(cfg.get("pool_fraction", study.DEFAULT_POOL_FRACTION))
+    pool_size = int(cfg.get("pool_size", study.DEFAULT_POOL_SIZE))
     mode = cfg.get("mode", "flip")
+    if mode == "rescale":
+        # the rescale CSV has no protocol column, so one run takes one protocol
+        protocols = _split(cfg.get("protocols", "bias_visibility"))
+        if len(protocols) != 1:
+            raise AspanelError(f"rescale mode takes exactly one protocol, got {protocols}")
+        sampler = study.SubsetSampler(feats, protocols[0], pool_fraction, pool_size)
+    else:
+        protocols = _split(cfg.get("protocols", "bias_visibility random"))
 
     for name in f_names:
         f = valuefn.by_name(name)
         if mode == "flip":
-            rep = study.flip_study(
-                feats, f, part, protocols, sizes, seeds,
-                pool_fraction=float(cfg.get("pool_fraction", study.DEFAULT_POOL_FRACTION)),
-                pool_size=int(cfg.get("pool_size", study.DEFAULT_POOL_SIZE)),
-            )
+            rep = study.flip_study(feats, f, part, protocols, sizes, seeds,
+                                   pool_fraction=pool_fraction, pool_size=pool_size)
             rep.to_csv(run.path(f"flip_{name}.csv"))
         elif mode == "rescale":
             full = attribution.normalize(attribution.attribute(f, feats))
             reports = []
             for n in sizes:
                 for seed in seeds:
-                    sub = study.sample_subset(
-                        feats, protocols[0], n, seed,
-                        pool_fraction=float(cfg.get("pool_fraction", study.DEFAULT_POOL_FRACTION)),
-                        pool_size=int(cfg.get("pool_size", study.DEFAULT_POOL_SIZE)),
-                    )
+                    sub = sampler.draw(n, seed)
                     try:
                         res = attribution.normalize(
                             study.subset_attribution(f, feats, sub)

@@ -40,18 +40,20 @@ class EventRecord(NamedTuple):
     target: Optional[str] = None
 
     def validate(self) -> None:
-        if not isinstance(self.ts, (int, np.integer)) or not _INT64_MIN <= self.ts <= _INT64_MAX:
-            raise ValueError(f"ts {self.ts!r} is not an int64 timestamp")
-        if not isinstance(self.actor, str):
-            raise ValueError(f"actor {self.actor!r} is not a string")
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if not isinstance(self.text, (str, type(None))):
-            raise ValueError(f"text {self.text!r} is neither a string nor null")
-        if not isinstance(self.target, (str, type(None))):
-            raise ValueError(f"target {self.target!r} is neither a string nor null")
-        if self.kind in ("follow", "reply") and not self.target:
-            raise ValueError(f"{self.kind} event requires a target")
+        ts, actor, kind, text, target = self  # one unpack; field access is slower
+        if not isinstance(ts, (int, np.integer)) or not _INT64_MIN <= ts <= _INT64_MAX:
+            raise ValueError(f"ts {ts!r} is not an int64 timestamp")
+        # agent ids are newline-delimited in the panel file
+        if not isinstance(actor, str) or "\n" in actor:
+            raise ValueError(f"actor {actor!r} is not a one-line string")
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if not isinstance(text, (str, type(None))):
+            raise ValueError(f"text {text!r} is neither a string nor null")
+        if not isinstance(target, (str, type(None))) or (target and "\n" in target):
+            raise ValueError(f"target {target!r} is neither a one-line string nor null")
+        if kind in ("follow", "reply") and not target:
+            raise ValueError(f"{kind} event requires a target")
 
 
 @dataclass
@@ -114,12 +116,22 @@ class FeaturePanel:
 
     def save(self, path) -> None:
         """Flat binary container: magic 'ASP1', little-endian int64 dims
-        N,T,D, row-major float64 payload, newline-delimited agent ids."""
+        N,T,D, row-major float64 payload, newline-delimited agent ids.
+
+        Raises AspanelError, before writing anything, for agent ids that
+        ``load`` could not read back: ids containing a newline or not
+        encodable as UTF-8."""
+        if any("\n" in a for a in self.agent_ids):
+            raise AspanelError("agent ids must not contain a newline")
+        try:
+            id_block = "\n".join(self.agent_ids).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise AspanelError(f"agent ids are not UTF-8 encodable ({exc.reason})") from None
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<3q", self.n_agents, self.n_steps, self.n_dims))
             fh.write(np.ascontiguousarray(self.features, dtype="<f8").tobytes())
-            fh.write("\n".join(self.agent_ids).encode("utf-8"))
+            fh.write(id_block)
 
     @classmethod
     def load(cls, path, dim_names: Sequence[str] = DEFAULT_DIM_NAMES,
@@ -161,16 +173,17 @@ def read_events_jsonl(path) -> tuple[list[EventRecord], int]:
 
     A line is malformed when it is not one JSON object (trailing data
     included), lacks ``ts``/``actor``/``kind``, has a ``ts`` that is not an
-    int64 integer, or fails ``EventRecord.validate``.
+    int64 integer, fails ``EventRecord.validate``, or is not UTF-8.  Lines
+    end at a newline byte.
     """
     decode = json.JSONDecoder().raw_decode
     events, bad = [], 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for raw in fh:
             try:
+                line = raw.decode("utf-8").strip()  # UnicodeDecodeError is a ValueError
+                if not line:
+                    continue
                 obj, end = decode(line)
                 if end != len(line):
                     raise ValueError("trailing data after the JSON value")

@@ -43,17 +43,56 @@ def _zscore(x: np.ndarray) -> np.ndarray:
     return (x - x.mean()) / sd if sd > 0 else np.zeros_like(x)
 
 
-def _pool_then_draw(score, pool_size, n, rng, n_total):
-    """Top-`pool_size` agents by score form the pool; draw n uniformly.
-    When n reaches the pool size, take the whole pool plus a uniform
-    complement, which collapses to the full panel at n = N."""
-    order = np.argsort(-score, kind="stable")
-    pool = order[:pool_size]
-    if n < len(pool):
-        return rng.choice(pool, size=n, replace=False)
-    rest = order[pool_size:]
-    extra = rng.choice(rest, size=n - len(pool), replace=False)
-    return np.concatenate([pool, extra])
+class SubsetSampler:
+    """One sampling protocol on one panel.
+
+    ``agent_features`` is the collapsed N x D panel with dims
+    (reach, activity, resonance) on the log1p scale.  The biased pools are
+    deterministic functions of the panel, so the score order is computed
+    once here; only :meth:`draw` uses the seed.
+    """
+
+    def __init__(self, agent_features: np.ndarray, protocol: str,
+                 pool_fraction: float, pool_size: int):
+        if protocol not in PROTOCOLS:
+            raise AspanelError(f"unknown protocol {protocol!r}")
+        z = np.asarray(agent_features, dtype=np.float64)
+        N = z.shape[0]
+        self.protocol, self.n_agents = protocol, N
+        self.pool = self.rest = None  # random draws from the whole panel
+        if protocol == "random":
+            self.param = 0.0
+            return
+        a = z[:, 0]
+        b = z[:, 1] if z.shape[1] > 1 else np.zeros(N)
+        c = z[:, 2] if z.shape[1] > 2 else np.zeros(N)
+        if protocol == "bias_visibility":
+            engagement = np.expm1(b) + np.expm1(c)  # counts before log1p
+            score = _zscore(a) + _zscore(np.log1p(engagement))
+            psize = max(1, math.ceil(pool_fraction * N))
+            self.param = float(pool_fraction)
+        else:
+            score = np.log1p(b + c) * a if protocol == "bias_topic_x_follow" else b
+            psize = min(pool_size, N)
+            self.param = float(pool_size)
+        order = np.argsort(-score, kind="stable")  # ties by agent index
+        self.pool, self.rest = order[:psize], order[psize:]
+
+    def draw(self, n: int, seed: int) -> SubsetSpec:
+        """The top agents by score form the pool; draw n of them uniformly.
+        When n reaches the pool size, take the whole pool plus a uniform
+        complement, which collapses to the full panel at n = N."""
+        if n > self.n_agents:
+            raise AspanelError(f"subset size {n} exceeds population {self.n_agents}")
+        rng = np.random.default_rng(seed)
+        if self.pool is None:
+            idx = rng.choice(self.n_agents, size=n, replace=False)
+        elif n < len(self.pool):
+            idx = rng.choice(self.pool, size=n, replace=False)
+        else:
+            extra = rng.choice(self.rest, size=n - len(self.pool), replace=False)
+            idx = np.concatenate([self.pool, extra])
+        return SubsetSpec(np.sort(idx), self.protocol, n, seed, self.param)
 
 
 def sample_subset(
@@ -64,40 +103,9 @@ def sample_subset(
     pool_fraction: float = DEFAULT_POOL_FRACTION,
     pool_size: int = DEFAULT_POOL_SIZE,
 ) -> SubsetSpec:
-    """Draw an agent subset under one of the four sampling protocols.
-
-    ``agent_features`` is the collapsed N x D panel with dims
-    (reach, activity, resonance) on the log1p scale.  The biased pools are
-    deterministic functions of the panel; only the draw uses the seed.
-    """
-    z = np.asarray(agent_features, dtype=np.float64)
-    N = z.shape[0]
-    if n > N:
-        raise AspanelError(f"subset size {n} exceeds population {N}")
-    if protocol not in PROTOCOLS:
-        raise AspanelError(f"unknown protocol {protocol!r}")
-    rng = np.random.default_rng(seed)
-    a = z[:, 0]
-    b = z[:, 1] if z.shape[1] > 1 else np.zeros(N)
-    c = z[:, 2] if z.shape[1] > 2 else np.zeros(N)
-
-    if protocol == "random":
-        idx = rng.choice(N, size=n, replace=False)
-        param = 0.0
-    elif protocol == "bias_visibility":
-        engagement = np.expm1(b) + np.expm1(c)  # counts before log1p
-        score = _zscore(a) + _zscore(np.log1p(engagement))
-        psize = max(1, math.ceil(pool_fraction * N))
-        idx = _pool_then_draw(score, psize, n, rng, N)
-        param = pool_fraction
-    elif protocol == "bias_topic_x_follow":
-        score = np.log1p(b + c) * a
-        idx = _pool_then_draw(score, min(pool_size, N), n, rng, N)
-        param = pool_size
-    else:  # bias_topic_top
-        idx = _pool_then_draw(b, min(pool_size, N), n, rng, N)
-        param = pool_size
-    return SubsetSpec(np.sort(idx), protocol, n, seed, float(param))
+    """Draw one agent subset under one of the four sampling protocols; see
+    :class:`SubsetSampler`, which reuses the pool across draws."""
+    return SubsetSampler(agent_features, protocol, pool_fraction, pool_size).draw(n, seed)
 
 
 # ---- flip study -------------------------------------------------------------
@@ -162,11 +170,11 @@ def flip_study(
     full_shares = tier_shares(full, partition)
     report = FlipReport(full_shares, partition.group_names, n_full=len(agent_features))
     for protocol in protocols:
+        sampler = SubsetSampler(agent_features, protocol, pool_fraction, pool_size)
         for n in sizes:
             shares, degenerate = [], 0
             for seed in seeds:
-                sub = sample_subset(agent_features, protocol, n, seed,
-                                    pool_fraction, pool_size)
+                sub = sampler.draw(n, seed)
                 try:
                     res = normalize(subset_attribution(f, agent_features, sub, method, K))
                 except DegenerateChangeError:

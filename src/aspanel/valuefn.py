@@ -95,13 +95,20 @@ def _heat_gradient(p, z):
 
 def _heat_phi(p, z):
     # phi_i = (v / D) sum_d z_id / sum_j z_jd; a zero column sum means v = 0,
-    # so that block is skipped rather than divided by zero
+    # so that block is skipped rather than divided by zero.  With exactly one
+    # zero sum s_k, the path integral keeps the k-th gradient term:
+    # phi_i = z_ik prod_{d != k}(s_d / n) / (n D); with two or more, phi = 0.
+    n, D = z.shape
     sums = z.sum(axis=0)
     val = _heat_value(p, z)
+    zero = np.flatnonzero(sums == 0)
+    if len(zero) == 1:
+        k = zero[0]
+        return z[:, k] * (np.prod(np.delete(sums, k) / n) / (n * D)), val, {}
     shares = np.zeros_like(z)
     nonzero = sums != 0
     shares[:, nonzero] = z[:, nonzero] / sums[nonzero]
-    return shares.sum(axis=1) * (val / z.shape[1]), val, {}
+    return shares.sum(axis=1) * (val / D), val, {}
 
 
 def _var_value(p, z) -> float:

@@ -76,6 +76,32 @@ class TestAnalyticInput:
         assert res.efficiency_residual() <= 1e-12 * abs(res.delta_v)
         assert np.abs(res.phi - mid.phi).max() <= 1e-9
 
+    @pytest.mark.parametrize("z", [
+        [[1.0, 1.0], [-1.0, 2.0]],
+        [[2.0, -1.0, 0.5], [-2.0, 3.0, 1.0], [0.0, 1.0, 1.5]],
+    ])
+    def test_heat_one_zero_column_sum_matches_midpoint(self, z):
+        # v = 0 along the whole path, yet the zero column's own gradient
+        # term is not zero: the attribution moves mass between agents
+        res = attribution.attribute_analytic(valuefn.heat(), z)
+        mid = attribution.attribute_path_integral(valuefn.heat(), z, K=200)
+        assert res.delta_v == 0.0
+        assert np.abs(res.phi).max() > 0.1
+        assert np.abs(res.phi - mid.phi).sum() <= np.abs(mid.phi).sum() / 200**2
+        assert abs(res.phi.sum()) <= 1e-15
+
+    def test_heat_one_zero_column_sum_hand_value(self):
+        # phi_i = z_i0 * (s_1 / n) / (n D) = z_i0 * 1.5 / 4
+        res = attribution.attribute_analytic(valuefn.heat(), [[1.0, 1.0], [-1.0, 2.0]])
+        assert res.phi == pytest.approx([0.375, -0.375], abs=1e-15)
+
+    def test_heat_two_zero_column_sums_give_zero(self):
+        z = [[1.0, -1.0, 1.0], [-1.0, 1.0, 2.0]]
+        res = attribution.attribute_analytic(valuefn.heat(), z)
+        mid = attribution.attribute_path_integral(valuefn.heat(), z, K=200)
+        assert np.array_equal(res.phi, [0.0, 0.0])
+        assert np.abs(mid.phi).max() <= 1e-15
+
 class TestMidpoint:
     @pytest.mark.parametrize("make", ANALYTIC)
     def test_converges_to_closed_form(self, make, abs_gaussian):

@@ -154,6 +154,14 @@ class TestAttribute:
         assert run(["attribute", str(panel_file), "--f", "additive", "--weights", str(weights),
                     "--out", str(tmp_path / "a.csv"), "--out-dir", str(tmp_path)]) == 1
 
+    def test_non_numeric_weights_is_data_error(self, tmp_path):
+        pfile = tmp_path / "p4.asp"
+        assert run(["synth", "--n-agents", "4", "--out", str(pfile), "--out-dir", str(tmp_path)]) == 0
+        weights = tmp_path / "w.csv"
+        weights.write_text("a,b,c\n" * 4)
+        assert run(["attribute", str(pfile), "--f", "additive", "--weights", str(weights),
+                    "--out", str(tmp_path / "a.csv"), "--out-dir", str(tmp_path)]) == 1
+
     def test_non_utf8_agent_ids_is_data_error(self, panel_file, tmp_path):
         panel_file.write_bytes(panel_file.read_bytes()[:-1] + b"\xff")
         assert run(["attribute", str(panel_file), "--f", "var",
@@ -192,6 +200,27 @@ class TestStudy:
         eps_lin = [float(r.split(",")[4]) for r in
                    (tmp_path / "rescale_lin.csv").read_text().strip().split("\n")[1:]]
         assert max(eps_lin) <= 1e-9
+
+    def test_rescale_defaults_to_bias_visibility(self, tmp_path):
+        body = ("mode = rescale\nn_agents = 1000\nlaw = pareto_reach\npanel_seed = 7\n"
+                "f = var\nsizes = 50\nseeds = 0 1\n")
+        out = {}
+        for tag, extra in (("default", ""), ("explicit", "protocols = bias_visibility\n")):
+            cfg = tmp_path / f"{tag}.cfg"
+            cfg.write_text(body + extra)
+            assert run(["study", str(cfg), "--out-dir", str(tmp_path / tag)]) == 0
+            out[tag] = (tmp_path / tag / "rescale_var.csv").read_bytes()
+        assert out["default"] == out["explicit"]
+
+    @pytest.mark.parametrize("protocols", ["bias_visibility random", ""])
+    def test_rescale_takes_exactly_one_protocol(self, tmp_path, protocols, capsys):
+        # the rescale CSV has no protocol column: a second protocol was dropped
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("mode = rescale\nn_agents = 300\nlaw = pareto_reach\n"
+                       f"f = var\nprotocols = {protocols}\nsizes = 50\nseeds = 0\n")
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "exactly one protocol" in capsys.readouterr().err
+        assert not (tmp_path / "rescale_var.csv").exists()
 
     def test_kconv_mode(self, tmp_path):
         cfg = tmp_path / "study.cfg"

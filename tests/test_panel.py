@@ -60,6 +60,17 @@ class TestEventRecord:
         with pytest.raises(ValueError):
             rec.validate()
 
+    @pytest.mark.parametrize("fields", [
+        {"actor": "a\nb"},
+        {"actor": "a\n"},
+        {"kind": "reply", "target": "b\nc"},
+    ])
+    def test_newline_in_agent_id_rejected(self, fields):
+        # agent ids are newline-delimited in the panel file
+        rec = panel.EventRecord(**{"ts": 1, "actor": "a", "kind": "post", "target": "b", **fields})
+        with pytest.raises(ValueError):
+            rec.validate()
+
     def test_int64_edges_accepted(self):
         panel.EventRecord(2**63 - 1, "a", "post").validate()
         panel.EventRecord(-(2**63), "a", "post").validate()
@@ -136,6 +147,13 @@ class TestIngest:
         with pytest.warns(UserWarning, match="malformed"):
             pn = panel.ingest_events(evs, ["solar"], (100, 300), 100)
         assert "x" not in pn.agent_ids
+
+    def test_newline_actor_never_reaches_the_panel(self, tmp_path):
+        evs = make_events() + [panel.EventRecord(130, "eve\nmallory", "post", text="solar")]
+        with pytest.warns(UserWarning, match="skipped 1 malformed"):
+            pn = panel.ingest_events(evs, ["solar"], (100, 300), 100)
+        pn.save(tmp_path / "p.asp")
+        assert panel.FeaturePanel.load(tmp_path / "p.asp").agent_ids == ["alice", "bob", "carol"]
 
     def test_wrongly_typed_events_warned(self):
         evs = make_events() + [
@@ -297,6 +315,22 @@ class TestJsonl:
         assert bad == 1
         assert events == [panel.EventRecord(100, "g", "post", "hi")]
 
+    def test_non_utf8_line_counted(self, tmp_path):
+        p = tmp_path / "events.jsonl"
+        p.write_bytes(b'{"ts": 100, "actor": "g", "kind": "post", "text": "hi"}\n'
+                      b'{"ts": 101, "actor": "\xff", "kind": "post"}\n')
+        with pytest.warns(UserWarning, match="skipped 1 malformed"):
+            events, bad = panel.read_events_jsonl(p)
+        assert bad == 1
+        assert events == [panel.EventRecord(100, "g", "post", "hi")]
+
+    def test_utf8_and_crlf_lines_read(self, tmp_path):
+        p = tmp_path / "events.jsonl"
+        p.write_bytes('{"ts": 7, "actor": "zoë", "kind": "post", "text": "☀"}\r\n'.encode("utf-8") * 2)
+        events, bad = panel.read_events_jsonl(p)
+        assert bad == 0
+        assert events == [panel.EventRecord(7, "zoë", "post", "☀")] * 2
+
     def test_surrounding_whitespace_allowed(self, tmp_path):
         p = tmp_path / "events.jsonl"
         p.write_text('  {"ts": 7, "actor": "a", "kind": "post"}\t\n')
@@ -315,6 +349,14 @@ class TestPanelContainer:
         assert np.array_equal(back.features, pn.features)
         assert back.agent_ids == pn.agent_ids
         assert back.dim_names == pn.dim_names
+
+    @pytest.mark.parametrize("bad_id", ["u\n1", "\n", "u\ud800"])
+    def test_save_rejects_ids_load_cannot_read(self, tmp_path, bad_id):
+        pn = panel.FeaturePanel(np.ones((2, 1, 3)), ["u0", bad_id])
+        path = tmp_path / "p.asp"
+        with pytest.raises(AspanelError):
+            pn.save(path)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.asp"

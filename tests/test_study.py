@@ -57,6 +57,75 @@ class TestSampling:
             study.sample_subset(pareto_feats, "bias_mood", 10, seed=0)
 
 
+def reference_subset(z, protocol, n, seed, pool_fraction, pool_size):
+    """The four sampling protocols from their definitions: score, stable
+    argsort, pool; draw n from the pool, or take it plus a complement."""
+    N = len(z)
+    rng = np.random.default_rng(seed)
+    if protocol == "random":
+        return np.sort(rng.choice(N, size=n, replace=False))
+
+    def zs(x):
+        return (x - x.mean()) / x.std() if x.std() > 0 else np.zeros_like(x)
+
+    a, b, c = z[:, 0], z[:, 1], z[:, 2]
+    if protocol == "bias_visibility":
+        score = zs(a) + zs(np.log1p(np.expm1(b) + np.expm1(c)))
+        psize = max(1, int(np.ceil(pool_fraction * N)))
+    elif protocol == "bias_topic_x_follow":
+        score, psize = np.log1p(b + c) * a, min(pool_size, N)
+    else:
+        score, psize = b, min(pool_size, N)
+    order = np.argsort(-score, kind="stable")
+    if n < psize:
+        return np.sort(rng.choice(order[:psize], size=n, replace=False))
+    extra = rng.choice(order[psize:], size=n - psize, replace=False)
+    return np.sort(np.concatenate([order[:psize], extra]))
+
+
+class TestSamplerAgainstReference:
+    # 600 agents with ties in every score: pool 30 by fraction, 30 by size
+    @pytest.fixture(scope="class")
+    def tied_feats(self):
+        return np.log1p(np.random.default_rng(11).integers(0, 4, (600, 3)).astype(float))
+
+    @pytest.mark.parametrize("protocol", study.PROTOCOLS)
+    @pytest.mark.parametrize("n", [10, 29, 30, 31, 200, 600])
+    def test_draw_matches_reference(self, tied_feats, protocol, n):
+        for seed in range(3):
+            sub = study.sample_subset(tied_feats, protocol, n, seed,
+                                      pool_fraction=0.05, pool_size=30)
+            ref = reference_subset(tied_feats, protocol, n, seed, 0.05, 30)
+            assert np.array_equal(sub.indices, ref)
+            assert (sub.protocol, sub.n, sub.seed) == (protocol, n, seed)
+
+    def test_sampler_reuses_its_pool_across_draws(self, tied_feats):
+        sampler = study.SubsetSampler(tied_feats, "bias_topic_x_follow", 0.05, 30)
+        for n, seed in [(10, 0), (200, 0), (10, 1), (30, 2)]:
+            sub = sampler.draw(n, seed)
+            assert np.array_equal(sub.indices, reference_subset(
+                tied_feats, "bias_topic_x_follow", n, seed, 0.05, 30))
+            assert sub.pool_param == 30.0
+
+    def test_flip_study_shares_equal_per_seed_subsets(self, tied_feats):
+        f = valuefn.variance()
+        part = make_tier_partition(tied_feats[:, 0])
+        seeds = range(4)
+        rep = study.flip_study(tied_feats, f, part, study.PROTOCOLS, (20, 40), seeds,
+                               pool_fraction=0.05, pool_size=30)
+        rows = iter(rep.rows)
+        for protocol in study.PROTOCOLS:
+            for n in (20, 40):
+                expect = []
+                for seed in seeds:
+                    sub = study.sample_subset(tied_feats, protocol, n, seed, 0.05, 30)
+                    res = attribution.normalize(study.subset_attribution(f, tied_feats, sub))
+                    expect.append(attribution.tier_shares(res, part, subset_indices=sub.indices))
+                row = next(rows)
+                assert (row["protocol"], row["n"], row["n_degenerate"]) == (protocol, n, 0)
+                assert np.array_equal(row["per_seed_shares"], np.array(expect))
+
+
 class TestFlipStudy:
     def test_shares_rows_and_csv(self, pareto_feats, tmp_path):
         part = make_tier_partition(pareto_feats[:, 0])
