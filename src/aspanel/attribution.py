@@ -108,10 +108,14 @@ def attribute_analytic(f: ValueFunction, features, baseline=None) -> Attribution
     The closed forms are derived along the ray tau * z, so a nonzero baseline
     must go through :func:`attribute_path_integral` instead.
     """
+    z = _as_features(features)
+    return _analytic(f, z, _resolve_baseline(baseline, z))
+
+
+def _analytic(f: ValueFunction, z: np.ndarray, z0: np.ndarray) -> AttributionResult:
+    """attribute_analytic on an array _as_features accepted and a resolved baseline."""
     if not f.has_closed_form:
         raise AspanelError(f"no closed form for kind {f.kind!r}; use the midpoint engine")
-    z = _as_features(features)
-    z0 = _resolve_baseline(baseline, z)
     if np.any(z0 != 0.0):
         raise NonzeroBaselineError(
             "closed forms hold only for the zero baseline; use attribute_path_integral"
@@ -137,11 +141,16 @@ def attribute_path_integral(
     of record); ``path='permuted'`` fades agents one at a time in a
     seed-determined order, with K midpoints per leg (ablation only).
     """
+    z = _as_features(features)
+    return _path_integral(f, z, _resolve_baseline(baseline, z), K, path, seed)
+
+
+def _path_integral(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, path: str,
+                   seed: Optional[int]) -> AttributionResult:
+    """attribute_path_integral on an array _as_features accepted and a resolved baseline."""
     if K < 1:
         raise AspanelError("K must be a positive integer")
-    z = _as_features(features)
     n, D = z.shape
-    z0 = _resolve_baseline(baseline, z)
     z0_full = np.broadcast_to(z0, z.shape)
     delta = z - z0_full
 
@@ -182,14 +191,19 @@ def attribute(
     seed: Optional[int] = None,
 ) -> AttributionResult:
     """Dispatch: closed form when available (zero baseline), else midpoint."""
+    z = _as_features(features)
+    return _dispatch(f, z, _resolve_baseline(baseline, z), method, K, seed)
+
+
+def _dispatch(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: int,
+              seed: Optional[int]) -> AttributionResult:
+    """attribute on an array _as_features accepted and a resolved baseline."""
     if method not in ("auto", "analytic", "midpoint", "permuted_path"):
         raise AspanelError(f"unknown method {method!r}")
-    z = _as_features(features)
-    z0 = _resolve_baseline(baseline, z)
     if method == "analytic" or (method == "auto" and f.has_closed_form and not np.any(z0 != 0.0)):
-        return attribute_analytic(f, z, z0)
+        return _analytic(f, z, z0)
     path = "permuted" if method == "permuted_path" else "linear"
-    return attribute_path_integral(f, z, z0, K=K, path=path, seed=seed)
+    return _path_integral(f, z, z0, K, path, seed)
 
 
 # ---- normalization and aggregation -----------------------------------------
@@ -232,7 +246,11 @@ def attribute_temporal(
     method: str = "auto",
     K: int = DEFAULT_K,
 ) -> TemporalAttributionResult:
-    """Independent per-step attribution over a feature panel."""
+    """Independent per-step attribution over a feature panel.
+
+    The panel already holds a finite float64 tensor, so its steps go to the
+    engines without another finiteness scan.
+    """
     n, T, D = panel.features.shape
     # population_mean is the panel-wide mean; first_step is the step-0 slice
     base = _resolve_baseline(baseline, panel.features.reshape(-1, D), panel.step_slice(0))
@@ -240,7 +258,7 @@ def attribute_temporal(
     dv = np.empty(T)
     last_method = {}
     for t in range(T):
-        res = attribute(f, panel.step_slice(t), base, method=method, K=K)
+        res = _dispatch(f, panel.step_slice(t), base, method, K, None)
         phi[:, t] = res.phi
         dv[t] = res.delta_v
         last_method = res.method

@@ -45,6 +45,18 @@ def _split(value: str) -> list[str]:
     return [v for v in value.replace(",", " ").split() if v]
 
 
+def _cfg_number(cfg: dict, key: str, default, kind=int, many=False):
+    """Config value ``key`` (``default`` when absent) as one ``kind``, or as a
+    list of them with ``many``; a value that does not parse is an
+    AspanelError naming the key."""
+    raw = cfg.get(key, default)
+    try:
+        return [kind(x) for x in _split(raw)] if many else kind(raw)
+    except ValueError:
+        raise AspanelError(f"config {key} = {raw!r}: not "
+                           f"{'a list of ' if many else 'a single '}{kind.__name__}") from None
+
+
 class _Run:
     """Collects outputs and timings, writes the manifest on close."""
 
@@ -157,15 +169,14 @@ def cmd_attribute(args) -> int:
     res = attribution.attribute_temporal(f, pn, baseline, args.method, args.K)
 
     out_csv = run.path(args.out)
+    ids = panel.csv_quoted(pn.agent_ids)
     with open(out_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["agent_id", "step", "phi", "phi_norm"])
+        csv.writer(fh).writerow(["agent_id", "step", "phi", "phi_norm"])
         for t in range(pn.n_steps):
             dv = float(res.delta_v[t])
-            norm_ok = abs(dv) > attribution.DEGENERATE_TOL
-            for i, aid in enumerate(pn.agent_ids):
-                phi = float(res.phi[i, t])
-                w.writerow([aid, t, repr(phi), repr(phi / dv) if norm_ok else ""])
+            phi = res.phi[:, t]
+            norm = phi / dv if abs(dv) > attribution.DEGENERATE_TOL else ""
+            panel.write_csv_rows(fh, ids, [str(t), phi, norm])
     residuals = np.abs(res.step_totals() - res.delta_v)
     summary = {
         "delta_v": res.delta_v.tolist(),
@@ -189,13 +200,13 @@ def _study_panel(cfg, seed: int):
     if "panel" in cfg:
         return panel.FeaturePanel.load(cfg["panel"])
     spec = panel.SyntheticPanelSpec(
-        n_agents=int(cfg.get("n_agents", 10000)),
-        n_steps=int(cfg.get("n_steps", 1)),
-        n_dims=int(cfg.get("n_dims", 3)),
+        n_agents=_cfg_number(cfg, "n_agents", 10000),
+        n_steps=_cfg_number(cfg, "n_steps", 1),
+        n_dims=_cfg_number(cfg, "n_dims", 3),
         feature_law=cfg.get("law", "pareto_reach"),
-        pareto_alpha=float(cfg.get("pareto_alpha", 1.5)),
-        reach_coupling=float(cfg.get("reach_coupling", 1.0)),
-        seed=int(cfg.get("panel_seed", seed)),
+        pareto_alpha=_cfg_number(cfg, "pareto_alpha", 1.5, float),
+        reach_coupling=_cfg_number(cfg, "reach_coupling", 1.0, float),
+        seed=_cfg_number(cfg, "panel_seed", seed),
     )
     return panel.generate_synthetic(spec)
 
@@ -207,15 +218,15 @@ def cmd_study(args) -> int:
     feats = pn.collapse()
     part = panel.make_tier_partition(
         feats[:, 0],
-        cut_fractions=[float(x) for x in _split(cfg.get("cut_fractions", "0.01 0.10 1.0"))],
+        cut_fractions=_cfg_number(cfg, "cut_fractions", "0.01 0.10 1.0", float, many=True),
         agent_ids=pn.agent_ids,
         anchor_name="reach",
     )
     f_names = _split(cfg.get("f", "var"))
-    sizes = [int(x) for x in _split(cfg.get("sizes", "100"))]
-    seeds = [int(x) for x in _split(cfg.get("seeds", " ".join(map(str, range(10)))))]
-    pool_fraction = float(cfg.get("pool_fraction", study.DEFAULT_POOL_FRACTION))
-    pool_size = int(cfg.get("pool_size", study.DEFAULT_POOL_SIZE))
+    sizes = _cfg_number(cfg, "sizes", "100", many=True)
+    seeds = _cfg_number(cfg, "seeds", " ".join(map(str, range(10))), many=True)
+    pool_fraction = _cfg_number(cfg, "pool_fraction", study.DEFAULT_POOL_FRACTION, float)
+    pool_size = _cfg_number(cfg, "pool_size", study.DEFAULT_POOL_SIZE)
     mode = cfg.get("mode", "flip")
     if mode == "rescale":
         # the rescale CSV has no protocol column, so one run takes one protocol
@@ -252,7 +263,7 @@ def cmd_study(args) -> int:
                     )
             scalingbias.write_reports_csv(run.path(f"rescale_{name}.csv"), reports)
         elif mode == "kconv":
-            K_list = [int(x) for x in _split(cfg.get("K_list", "5 10 20 30 50 100 300"))]
+            K_list = _cfg_number(cfg, "K_list", "5 10 20 30 50 100 300", many=True)
             rows = study.k_convergence_sweep(feats, f, K_list)
             with open(run.path(f"kconv_{name}.csv"), "w", newline="") as fh:
                 w = csv.writer(fh)
@@ -269,15 +280,15 @@ def cmd_study(args) -> int:
 def cmd_bench(args) -> int:
     cfg = read_kv_config(args.config) if args.config else {}
     run = _Run(args, config_path=args.config)
-    sizes = [int(x) for x in _split(cfg.get("sizes", "10 100 1000"))]
+    sizes = _cfg_number(cfg, "sizes", "10 100 1000", many=True)
     methods = _split(cfg.get("methods", " ".join(study.BENCH_METHODS)))
     f = valuefn.by_name(cfg.get("f", "heat"))
     rows = study.bench_scaling(
         f,
         sizes,
         methods,
-        m_samples=int(cfg.get("m_samples", 1000)),
-        repeats=int(cfg.get("repeats", 3)),
+        m_samples=_cfg_number(cfg, "m_samples", 1000),
+        repeats=_cfg_number(cfg, "repeats", 3),
         seed=args.seed,
     )
     study.bench_rows_to_csv(run.path("bench.csv"), rows, methods)

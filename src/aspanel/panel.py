@@ -17,6 +17,7 @@ import re
 import struct
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -43,9 +44,11 @@ class EventRecord(NamedTuple):
         ts, actor, kind, text, target = self  # one unpack; field access is slower
         if not isinstance(ts, (int, np.integer)) or not _INT64_MIN <= ts <= _INT64_MAX:
             raise ValueError(f"ts {ts!r} is not an int64 timestamp")
-        # agent ids are newline-delimited in the panel file
+        # agent ids are newline-delimited UTF-8 in the panel file
         if not isinstance(actor, str) or "\n" in actor:
             raise ValueError(f"actor {actor!r} is not a one-line string")
+        if not actor.isascii():
+            actor.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         if not isinstance(text, (str, type(None))):
@@ -146,7 +149,9 @@ class FeaturePanel:
             size = 8 * n * t * d
             if min(n, t, d) < 0 or size > os.fstat(fh.fileno()).st_size - 28:
                 raise AspanelError(f"{path}: truncated ASP1 payload for N,T,D = {n},{t},{d}")
-            feats = np.frombuffer(fh.read(size), dtype="<f8").reshape(n, t, d).copy()
+            feats = np.empty((n, t, d), dtype="<f8")  # read in place: no second copy
+            if fh.readinto(feats) != size:
+                raise AspanelError(f"{path}: truncated ASP1 payload for N,T,D = {n},{t},{d}")
             try:
                 ids = fh.read().decode("utf-8").split("\n")
             except UnicodeDecodeError as exc:
@@ -157,12 +162,56 @@ class FeaturePanel:
         return cls(feats, ids, names, allow_negative=allow_negative)
 
     def to_csv(self, path) -> None:
+        """Agent-major rows ``agent_id,step,<dims>``, floats as ``repr``."""
+        T = self.n_steps
+        ids = csv_quoted(self.agent_ids)
+        steps = [f",{t}" for t in range(T)]
+        per_block = max(1, CSV_BLOCK_ROWS // T)  # agents per write
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["agent_id", "step", *self.dim_names])
-            for i, aid in enumerate(self.agent_ids):
-                for t in range(self.n_steps):
-                    w.writerow([aid, t, *(repr(float(v)) for v in self.features[i, t])])
+            csv.writer(fh).writerow(["agent_id", "step", *self.dim_names])
+            for lo in range(0, self.n_agents, per_block):
+                heads = [q + s for q in ids[lo:lo + per_block] for s in steps]
+                rows = self.features[lo:lo + per_block].reshape(len(heads), -1)
+                write_csv_rows(fh, heads, list(rows.T))
+
+
+# ---- bulk CSV text --------------------------------------------------------
+
+CSV_BLOCK_ROWS = 1 << 16  # rows formatted per write; bounds the text held in memory
+
+
+def csv_quoted(ids: Sequence[str]) -> list[str]:
+    """Each id as ``csv.writer`` writes it as the first field of a row:
+    quoted where the excel dialect quotes it, an empty id left empty."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(zip(ids, itertools.repeat("")))
+    return [line[:-3] for line in lines]  # drop the "," + "\r\n" of the blank second field
+
+
+def write_csv_rows(fh, heads: Sequence[str], columns) -> None:
+    """Write one row per head, the same bytes ``csv.writer`` writes.
+
+    Each head is the row's leading fields, already CSV text (see
+    :func:`csv_quoted`).  Each column is either a float64 array with one
+    value per row, written with ``repr``, or a string written on every row.
+    Lines end in ``\r\n``; rows go out ``CSV_BLOCK_ROWS`` at a time.
+    """
+    for lo in range(0, len(heads), CSV_BLOCK_ROWS):
+        hi = lo + CSV_BLOCK_ROWS
+        fields = [itertools.repeat(c) if isinstance(c, str) else _reprs(c[lo:hi]) for c in columns]
+        fh.write("\r\n".join(map(",".join, zip(heads[lo:hi], *fields))) + "\r\n")
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float64, computed once per distinct bit pattern.
+
+    Panels built from event counts repeat few values across many agents, and
+    identical rows get identical attributions.  Comparing bits keeps -0.0
+    apart from 0.0, whose reprs differ.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 # ---- ingestion -----------------------------------------------------------

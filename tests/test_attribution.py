@@ -259,6 +259,25 @@ class TestTemporal:
         assert np.abs(res.phi[:, 0]).max() < 1e-12
         assert res.delta_v[0] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("method", ["auto", "midpoint"])
+    def test_steps_coerced_once_per_public_call(self, monkeypatch, method):
+        # FeaturePanel checked the whole tensor, so its steps skip the scan
+        pn = self.make_panel()
+        calls = []
+        real = attribution._as_features
+        monkeypatch.setattr(attribution, "_as_features", lambda z: calls.append(z) or real(z))
+        res = attribution.attribute_temporal(valuefn.variance(), pn, method=method)
+        assert calls == []
+        for t in range(pn.n_steps):
+            single = attribution.attribute(valuefn.variance(), pn.step_slice(t), method=method)
+            assert np.array_equal(res.phi[:, t], single.phi)
+            assert res.delta_v[t] == single.delta_v
+        assert len(calls) == pn.n_steps
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(AspanelError, match="unknown method"):
+            attribution.attribute_temporal(valuefn.variance(), self.make_panel(), method="exact")
+
     def test_totals_consistent(self):
         pn = self.make_panel()
         res = attribution.attribute_temporal(valuefn.linear_mean(), pn)

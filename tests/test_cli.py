@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
-from aspanel import cli, panel
+from aspanel import attribution, cli, panel, valuefn
 from aspanel.errors import AspanelError
 
 
@@ -173,6 +175,111 @@ class TestAttribute:
                     "--out-dir", str(tmp_path)]) == 1
 
 
+# ---- CSV bytes against per-row csv.writer references ----------------------
+
+AWKWARD_IDS = ["a,b", 'q"x', " sp", "a\rb", ""]
+
+
+def reference_attribute_csv(path, pn, res):
+    """The per-row writer the bulk `attribute` writer replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["agent_id", "step", "phi", "phi_norm"])
+        for t in range(pn.n_steps):
+            dv = float(res.delta_v[t])
+            norm_ok = abs(dv) > attribution.DEGENERATE_TOL
+            for i, aid in enumerate(pn.agent_ids):
+                phi = float(res.phi[i, t])
+                w.writerow([aid, t, repr(phi), repr(phi / dv) if norm_ok else ""])
+
+
+def reference_panel_csv(path, pn):
+    """The per-row writer the bulk `FeaturePanel.to_csv` replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["agent_id", "step", *pn.dim_names])
+        for i, aid in enumerate(pn.agent_ids):
+            for t in range(pn.n_steps):
+                w.writerow([aid, t, *(repr(float(v)) for v in pn.features[i, t])])
+
+
+def awkward_panel(path, n, n_steps=3):
+    """A synthetic panel whose first ids need CSV quoting, whose step 1 is all
+    zeros (lin has delta_v = 0 there) and whose step 2, if any, is scaled
+    down so that lin's delta_v is nonzero but within DEGENERATE_TOL."""
+    feats = panel.generate_synthetic(panel.SyntheticPanelSpec(
+        n_agents=n, n_steps=n_steps, feature_law="pareto_reach", seed=11)).features.copy()
+    feats[:, 1] = 0.0
+    feats[:, 2:] *= 1e-14
+    ids = AWKWARD_IDS + [f"u{i}" for i in range(n - len(AWKWARD_IDS))]
+    panel.FeaturePanel(feats, ids).save(path)
+    return panel.FeaturePanel.load(path)
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("f,baseline,method", [
+        ("lin", "zero", "auto"), ("var", "zero", "auto"), ("gini", "population_mean", "auto"),
+        ("heat", "first_step", "midpoint"),
+    ])
+    def test_attribute_matches_per_row_writer(self, tmp_path, f, baseline, method):
+        pn = awkward_panel(tmp_path / "p.asp", 50)
+        out = tmp_path / "attr.csv"
+        assert run(["attribute", str(tmp_path / "p.asp"), "--f", f, "--baseline", baseline,
+                    "--method", method, "--out", str(out), "--out-dir", str(tmp_path)]) == 0
+        res = attribution.attribute_temporal(valuefn.by_name(f), pn,
+                                             attribution.BaselineSpec(baseline), method)
+        reference_attribute_csv(tmp_path / "ref.csv", pn, res)
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if f == "lin":  # blank phi_norm at delta_v = 0 and at a tiny delta_v
+            assert b'\r\n"a,b",1,0.0,\r\n' in out.read_bytes()
+            assert 0 < abs(res.delta_v[2]) <= attribution.DEGENERATE_TOL
+
+    def test_ingest_csv_matches_per_row_writer(self, tmp_path):
+        p = tmp_path / "events.jsonl"
+        rows = []
+        for k, a in enumerate(AWKWARD_IDS + ["bob"]):
+            rows.append({"ts": 100 + k, "actor": a, "kind": "post", "text": "solar"})
+            if a:  # an empty target makes a follow or reply malformed
+                rows += [{"ts": 150 + k, "actor": "bob", "kind": "follow", "target": a},
+                         {"ts": 210 + k, "actor": "bob", "kind": "reply", "text": "solar", "target": a}]
+        p.write_text("\n".join(json.dumps(r) for r in rows))
+        out = tmp_path / "panel.asp"
+        assert run(["ingest", str(p), "solar", "--window-start", "100", "--window-end", "300",
+                    "--step", "100", "--out", str(out), "--csv", "--out-dir", str(tmp_path)]) == 0
+        pn = panel.FeaturePanel.load(out)
+        assert sorted(pn.agent_ids) == sorted(AWKWARD_IDS + ["bob"])
+        reference_panel_csv(tmp_path / "ref.csv", pn)
+        assert (tmp_path / "panel.asp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_repeated_values_and_signed_zeros(self):
+        # values repeat within a column, and -0.0 and 0.0 have different reprs
+        col = np.array([0.0, -0.0, 1.5, 0.1 + 0.2, 1.5, -0.0, np.nan, -np.inf, 0.0, 5e-324])
+        ids = AWKWARD_IDS * 2
+        got, want = io.StringIO(newline=""), io.StringIO(newline="")
+        panel.write_csv_rows(got, panel.csv_quoted(ids), ["3", col, col[::-1].copy()])
+        w = csv.writer(want)
+        for aid, a, b in zip(ids, col.tolist(), col[::-1].tolist()):
+            w.writerow([aid, 3, repr(a), repr(b)])
+        assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("small_blocks", [True, False])
+    def test_writers_across_write_blocks(self, tmp_path, monkeypatch, small_blocks):
+        # more rows per step, and more panel rows, than one write block holds
+        if small_blocks:
+            monkeypatch.setattr(panel, "CSV_BLOCK_ROWS", 7)
+        n = 20 if small_blocks else panel.CSV_BLOCK_ROWS + 5
+        pn = awkward_panel(tmp_path / "p.asp", n, n_steps=2)
+        pn.to_csv(tmp_path / "panel.csv")
+        reference_panel_csv(tmp_path / "ref_panel.csv", pn)
+        assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "ref_panel.csv").read_bytes()
+        out = tmp_path / "attr.csv"
+        assert run(["attribute", str(tmp_path / "p.asp"), "--f", "lin",
+                    "--out", str(out), "--out-dir", str(tmp_path)]) == 0
+        res = attribution.attribute_temporal(valuefn.by_name("lin"), pn)
+        reference_attribute_csv(tmp_path / "ref.csv", pn, res)
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestStudy:
     def test_flip_mode(self, tmp_path):
         cfg = tmp_path / "study.cfg"
@@ -237,6 +344,19 @@ class TestStudy:
         cfg.write_text("mode = dance\n")
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("sizes", "abc"), ("seeds", "0 x"), ("n_agents", "abc"), ("n_steps", "2.5"),
+        ("pareto_alpha", "x"), ("panel_seed", ""), ("cut_fractions", "0.1 x 1.0"),
+        ("pool_fraction", "abc"), ("pool_size", "1e3"), ("K_list", "5 ten"),
+    ])
+    def test_non_numeric_config_is_data_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "study.cfg"
+        mode = "kconv" if key == "K_list" else "flip"
+        cfg.write_text(f"mode = {mode}\nn_agents = 300\nlaw = pareto_reach\nf = var\n"
+                       f"sizes = 50\nseeds = 0\n{key} = {value}\n")
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert f"config {key} = {value!r}" in capsys.readouterr().err
+
 
 class TestBench:
     def test_default_config(self, tmp_path, capsys):
@@ -247,6 +367,13 @@ class TestBench:
         out = capsys.readouterr().out
         assert "infeasible" in out
         assert (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("line", ["sizes = 10 x", "repeats = two", "m_samples = 1.5"])
+    def test_non_numeric_config_is_data_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"methods = ours_analytic\n{line}\n")
+        assert run(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert f"config {line.split()[0]} = " in capsys.readouterr().err
 
 
 class TestVerify:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,11 @@ class TestEventRecord:
         rec = panel.EventRecord(**{"ts": 1, "actor": "a", "kind": "post", "target": "b", **fields})
         with pytest.raises(ValueError):
             rec.validate()
+
+    def test_lone_surrogate_actor_rejected(self):
+        # agent ids are UTF-8 in the panel file, and a lone surrogate has no encoding
+        with pytest.raises(ValueError):
+            panel.EventRecord(1, "b\ud800", "post").validate()
 
     def test_int64_edges_accepted(self):
         panel.EventRecord(2**63 - 1, "a", "post").validate()
@@ -324,6 +330,18 @@ class TestJsonl:
         assert bad == 1
         assert events == [panel.EventRecord(100, "g", "post", "hi")]
 
+    def test_lone_surrogate_actor_counted(self, tmp_path):
+        # a JSON \ud800 escape decodes to a str that save could not write
+        p = tmp_path / "events.jsonl"
+        p.write_text('{"ts": 100, "actor": "g", "kind": "post", "text": "hi"}\n'
+                     '{"ts": 101, "actor": "b\\ud800", "kind": "post", "text": "hi"}\n')
+        with pytest.warns(UserWarning, match="skipped 1 malformed"):
+            events, bad = panel.read_events_jsonl(p)
+        assert bad == 1
+        pn = panel.ingest_events(events, ["hi"], (0, 200), 100)
+        pn.save(tmp_path / "p.asp")
+        assert panel.FeaturePanel.load(tmp_path / "p.asp").agent_ids == ["g"]
+
     def test_utf8_and_crlf_lines_read(self, tmp_path):
         p = tmp_path / "events.jsonl"
         p.write_bytes('{"ts": 7, "actor": "zoë", "kind": "post", "text": "☀"}\r\n'.encode("utf-8") * 2)
@@ -357,6 +375,20 @@ class TestPanelContainer:
         with pytest.raises(AspanelError):
             pn.save(path)
         assert not path.exists()
+
+    def test_load_reads_payload_once(self, tmp_path):
+        # 14.4 MB payload on few agents, so the id list is negligible beside it
+        pn = panel.FeaturePanel(np.ones((2_000, 300, 3)), [f"u{i}" for i in range(2_000)])
+        path = tmp_path / "p.asp"
+        pn.save(path)
+        del pn
+        tracemalloc.start()
+        try:
+            back = panel.FeaturePanel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * back.features.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.asp"
