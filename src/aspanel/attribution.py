@@ -3,8 +3,8 @@
 Per-agent attribution fades every agent's features in simultaneously along
 the straight line from a baseline to the observed configuration and
 integrates the gradient of the macro value function along that line.  For
-a kind that declares a closed form (see ``valuefn.KINDS``) and a zero
-baseline the integral is exact; everything else goes through the K-point
+a kind that declares a closed form (see ``valuefn.KINDS``) and a baseline
+it covers the integral is exact; everything else goes through the K-point
 midpoint rule.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AspanelError, DegenerateChangeError, NonzeroBaselineError
 from .panel import FeaturePanel, TierPartition
-from .valuefn import ValueFunction, _as_features
+from .valuefn import ValueFunction, _as_features, as_baseline
 
 DEFAULT_K = 30
 DEGENERATE_TOL = 1e-12
@@ -105,8 +105,9 @@ def _result(phi, delta_v, z0, method, **meta) -> AttributionResult:
 def attribute_analytic(f: ValueFunction, features, baseline=None) -> AttributionResult:
     """Closed-form attribution for the kinds that declare one, zero baseline.
 
-    The closed forms are derived along the ray tau * z, so a nonzero baseline
-    must go through :func:`attribute_path_integral` instead.
+    A nonzero baseline goes through :func:`attribute`, which takes the
+    closed form where the kind covers that baseline, or through
+    :func:`attribute_path_integral`.
     """
     z = _as_features(features)
     return _analytic(f, z, _resolve_baseline(baseline, z))
@@ -118,10 +119,23 @@ def _analytic(f: ValueFunction, z: np.ndarray, z0: np.ndarray) -> AttributionRes
         raise AspanelError(f"no closed form for kind {f.kind!r}; use the midpoint engine")
     if np.any(z0 != 0.0):
         raise NonzeroBaselineError(
-            "closed forms hold only for the zero baseline; use attribute_path_integral"
+            "attribute_analytic takes the zero baseline only; "
+            "use attribute or attribute_path_integral"
         )
-    phi, delta, meta = f.closed_form(z)
-    return _result(phi, delta, z0, {"name": "analytic", "f": f.kind}, **meta)
+    return _closed(f, z, z0, as_baseline(z0, z.shape))
+
+
+def _closed(f: ValueFunction, z: np.ndarray, z0: np.ndarray, row: np.ndarray) -> AttributionResult:
+    """The kind's closed form from the resolved baseline z0, which
+    :func:`as_baseline` turned into ``row``; the method names the path."""
+    phi, delta, meta = f.closed_form(z, row)
+    if row.ndim == 2:
+        method = {"name": "closed_form", "baseline": "per_agent", "f": f.kind}
+    elif row.any():
+        method = {"name": "closed_form", "baseline": "shared_row", "f": f.kind}
+    else:
+        method = {"name": "analytic", "f": f.kind}
+    return _result(phi, delta, z0, method, **meta)
 
 
 # ---- midpoint quadrature ----------------------------------------------------
@@ -190,7 +204,8 @@ def attribute(
     K: int = DEFAULT_K,
     seed: Optional[int] = None,
 ) -> AttributionResult:
-    """Dispatch: closed form when available (zero baseline), else midpoint."""
+    """Dispatch: under ``auto``, the closed form when the kind covers the
+    baseline (see :meth:`ValueFunction.covers`), else the midpoint rule."""
     z = _as_features(features)
     return _dispatch(f, z, _resolve_baseline(baseline, z), method, K, seed)
 
@@ -200,8 +215,12 @@ def _dispatch(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: i
     """attribute on an array _as_features accepted and a resolved baseline."""
     if method not in ("auto", "analytic", "midpoint", "permuted_path"):
         raise AspanelError(f"unknown method {method!r}")
-    if method == "analytic" or (method == "auto" and f.has_closed_form and not np.any(z0 != 0.0)):
+    if method == "analytic":
         return _analytic(f, z, z0)
+    if method == "auto":
+        row = as_baseline(z0, z.shape)
+        if f.covers(row):
+            return _closed(f, z, z0, row)
     path = "permuted" if method == "permuted_path" else "linear"
     return _path_integral(f, z, z0, K, path, seed)
 

@@ -164,7 +164,7 @@ def cmd_attribute(args) -> int:
     baseline = attribution.BaselineSpec(args.baseline)
     if args.method == "analytic" and args.baseline != "zero":
         raise NonzeroBaselineError(
-            "analytic method requires --baseline zero; use --method midpoint"
+            "analytic method requires --baseline zero; use --method auto or midpoint"
         )
     res = attribution.attribute_temporal(f, pn, baseline, args.method, args.K)
 
@@ -234,14 +234,16 @@ def cmd_study(args) -> int:
         if len(protocols) != 1:
             raise AspanelError(f"rescale mode takes exactly one protocol, got {protocols}")
         sampler = study.SubsetSampler(feats, protocols[0], pool_fraction, pool_size)
-    else:
+    elif mode == "flip":
         protocols = _split(cfg.get("protocols", "bias_visibility random"))
+        # each protocol's pool is ranked once per panel, not once per f
+        samplers = {p: study.SubsetSampler(feats, p, pool_fraction, pool_size) for p in protocols}
 
     for name in f_names:
         f = valuefn.by_name(name)
         if mode == "flip":
             rep = study.flip_study(feats, f, part, protocols, sizes, seeds,
-                                   pool_fraction=pool_fraction, pool_size=pool_size)
+                                   samplers=samplers)
             rep.to_csv(run.path(f"flip_{name}.csv"))
         elif mode == "rescale":
             full = attribution.normalize(attribution.attribute(f, feats))

@@ -45,8 +45,9 @@ class EventRecord(NamedTuple):
         if not isinstance(ts, (int, np.integer)) or not _INT64_MIN <= ts <= _INT64_MAX:
             raise ValueError(f"ts {ts!r} is not an int64 timestamp")
         # agent ids are newline-delimited UTF-8 in the panel file
-        if not isinstance(actor, str) or "\n" in actor:
-            raise ValueError(f"actor {actor!r} is not a one-line string")
+        if not isinstance(actor, str) or not actor or "\n" in actor:
+            # an empty actor could never be a follow or reply target
+            raise ValueError(f"actor {actor!r} is not a nonempty one-line string")
         if not actor.isascii():
             actor.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
         if kind not in EVENT_KINDS:

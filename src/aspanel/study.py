@@ -7,7 +7,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats
@@ -160,17 +160,22 @@ def flip_study(
     K: int = attribution.DEFAULT_K,
     pool_fraction: float = DEFAULT_POOL_FRACTION,
     pool_size: int = DEFAULT_POOL_SIZE,
+    samplers: Optional[Mapping[str, SubsetSampler]] = None,
 ) -> FlipReport:
     """Compare tier shares on sampled subsets against the full panel.
 
     Degenerate cells (zero macro change on the subset) are excluded from the
-    means and counted.
+    means and counted.  ``samplers`` maps a protocol to a
+    :class:`SubsetSampler` already built on ``agent_features``, so a caller
+    studying several value functions ranks each pool once; a protocol it
+    lacks gets a sampler built here from ``pool_fraction`` and ``pool_size``.
     """
     full = normalize(attribute(f, agent_features, method=method, K=K))
     full_shares = tier_shares(full, partition)
     report = FlipReport(full_shares, partition.group_names, n_full=len(agent_features))
     for protocol in protocols:
-        sampler = SubsetSampler(agent_features, protocol, pool_fraction, pool_size)
+        sampler = (samplers or {}).get(protocol) or SubsetSampler(
+            agent_features, protocol, pool_fraction, pool_size)
         for n in sizes:
             shares, degenerate = [], 0
             for seed in seeds:

@@ -45,6 +45,21 @@ def _as_features(z) -> np.ndarray:
     return z
 
 
+def as_baseline(z0, shape) -> np.ndarray:
+    """A resolved baseline against n x D features: one length-D row when every
+    agent shares it (an all-zero baseline included), else the n x D array."""
+    z0 = np.asarray(z0, dtype=np.float64)
+    n, D = shape
+    try:
+        if z0.ndim < 2 or z0.shape[0] == 1:
+            return np.broadcast_to(z0, (1, D))[0]
+        full = np.broadcast_to(z0, shape)
+    except ValueError:
+        raise AspanelError(
+            f"baseline of shape {z0.shape} does not fit {n} agents x {D} dims") from None
+    return full if full.any() else np.zeros(D)
+
+
 def gini_ranks(g: np.ndarray) -> tuple[np.ndarray, bool]:
     """1-based ascending ranks of g, ties given their average (mid) rank.
 
@@ -64,7 +79,10 @@ class Kind:
 
     evaluate: Callable
     gradient: Callable
-    closed_form: Optional[Callable] = None  # -> (phi, delta_v, metadata), zero baseline
+    # (params, z, z0) -> (phi, delta_v, metadata): the exact path integral from
+    # z0, a length-D row shared by every agent or an n x D array (as_baseline)
+    closed_form: Optional[Callable] = None
+    covers: str = "any"  # baselines closed_form integrates: "any" | "shared_row"
     agent_stats: Optional[Callable] = None  # -> per-agent statistics, summed per coalition
     from_stats: Optional[Callable] = None  # (params, coalition sums, sizes) -> v(C), restrict
     required: tuple = ()  # params every caller must supply
@@ -76,9 +94,9 @@ class Kind:
 # ---- the built-in kinds ---------------------------------------------------
 
 
-def _lin_phi(p, z):
-    g = z.sum(axis=1)
-    return g / len(g), float(g.mean()), {}
+def _lin_phi(p, z, z0):
+    g, g0 = z.sum(axis=1), z0.sum(axis=-1)
+    return (g - g0) / len(g), float(g.mean() - g0.mean()), {}
 
 
 def _heat_value(p, z) -> float:
@@ -93,14 +111,89 @@ def _heat_gradient(p, z):
     return np.broadcast_to(row, z.shape).copy()
 
 
-def _heat_phi(p, z):
-    # phi_i = (v / D) sum_d z_id / sum_j z_jd; a zero column sum means v = 0,
-    # so that block is skipped rather than divided by zero.  With exactly one
-    # zero sum s_k, the path integral keeps the k-th gradient term:
-    # phi_i = z_ik prod_{d != k}(s_d / n) / (n D); with two or more, phi = 0.
+# The heat path integral from a nonzero baseline is integrated by composite
+# Gauss-Legendre: HEAT_NODES nodes per panel, with [0, 1] halved until no root
+# of q(tau) = 1 + prod_d m_d(tau) lies inside a panel's Bernstein ellipse of
+# parameter HEAT_RHO (or the panel is too short to halve in floating point),
+# so each panel errs by about HEAT_RHO**(-2 * HEAT_NODES).
+HEAT_NODES = 20
+HEAT_RHO = 3.0
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(HEAT_NODES)
+_HEAT_OVERFLOW = "heat: the product of the column means overflows"
+
+
+def _heat_check_path(q: list) -> None:
+    """Raise unless every q = 1 + prod of the column means is finite and positive."""
+    if not all(map(math.isfinite, q)):
+        raise AspanelError(_HEAT_OVERFLOW)
+    if min(q) <= 0:
+        raise AspanelError("heat: 1 + prod of the column means reaches zero between "
+                           "baseline and features, where log1p is undefined")
+
+
+def _heat_path_roots(m0, slope):
+    """Roots of q(tau) = 1 + prod_d (m0_d + tau slope_d), the column means
+    along the path.  log1p needs q > 0 on all of [0, 1]; q changes sign only
+    at a real root, so q is checked at the endpoints, at the real parts of
+    the roots in [0, 1] and halfway between them."""
+    coeffs = np.ones(1)
+    for a, b in zip(m0, slope):
+        coeffs = np.convolve(coeffs, [b, a])
+    coeffs[-1] += 1.0
+    if not np.all(np.isfinite(coeffs)):
+        raise AspanelError(_HEAT_OVERFLOW)
+    # a leading coefficient below rounding of the largest only puts roots
+    # past 1/eps, far from the path; dropping it keeps the companion finite
+    big = np.abs(coeffs) > np.finfo(float).eps * np.abs(coeffs).max()
+    roots = np.roots(coeffs[np.argmax(big):])
+    cuts = np.unique(np.concatenate([[0.0, 1.0], np.clip(roots.real, 0.0, 1.0)]))
+    probe = np.concatenate([cuts, (cuts[1:] + cuts[:-1]) / 2])
+    _heat_check_path((1.0 + np.prod(m0 + probe[:, None] * slope, axis=1)).tolist())
+    return roots
+
+
+def _heat_path_weights(m0, m1, roots):
+    """I_d = integral over [0, 1] of prod_{d' != d} m_d'(tau) / q(tau)."""
+    panels, todo = [], [(0.0, 1.0)]
+    while todo:
+        lo, hi = todo.pop()
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        w = (roots - mid) / half
+        s = np.sqrt(w * w - 1 + 0j)
+        if not lo < mid < hi or np.all(np.maximum(abs(w + s), abs(w - s)) >= HEAT_RHO):
+            panels.append((mid, half))
+        else:
+            todo += [(lo, mid), (mid, hi)]
+    mid, half = (col[:, None] for col in np.array(panels).T)
+    # nodes as tau and 1 - tau, each from the nearer end of the path, so the
+    # means (1 - tau) m0 + tau m1 keep their relative precision at both ends
+    x, from_end = half * _GL_X, mid > 0.5
+    tau = np.where(from_end, 1.0 - ((1.0 - mid) - x), mid + x).ravel()
+    rest = np.where(from_end, (1.0 - mid) - x, 1.0 - (mid + x)).ravel()
+    weight = (half * _GL_W).ravel()
+    m = rest[:, None] * m0 + tau[:, None] * m1
+    # product of the other columns without dividing: left and right running products
+    left, right = np.ones_like(m), np.ones_like(m)
+    left[:, 1:] = np.cumprod(m[:, :-1], axis=1)
+    right[:, :-1] = np.cumprod(m[:, :0:-1], axis=1)[:, ::-1]
+    return weight @ (left * right / (1.0 + np.prod(m, axis=1))[:, None])
+
+
+def _heat_phi(p, z, z0):
     n, D = z.shape
+    m1 = z.mean(axis=0)
+    if z0.any():
+        # the gradient is the same row for every agent, integrated once
+        m0 = z0 if z0.ndim == 1 else z0.mean(axis=0)
+        weights = _heat_path_weights(m0, m1, _heat_path_roots(m0, m1 - m0))
+        return (z - z0) @ weights / n, float(np.log1p(np.prod(m1)) - np.log1p(np.prod(m0))), {}
+    _heat_check_path([1.0 + float(np.prod(m1))])  # q(tau) = 1 + tau^D prod(m1) is monotone
+    val = float(np.log1p(np.prod(m1)))
+    # From zero, phi_i = (v / D) sum_d z_id / sum_j z_jd; a zero column sum
+    # means v = 0, so that block is skipped rather than divided by zero.  With
+    # exactly one zero sum s_k, the path integral keeps the k-th gradient term:
+    # phi_i = z_ik prod_{d != k}(s_d / n) / (n D); with two or more, phi = 0.
     sums = z.sum(axis=0)
-    val = _heat_value(p, z)
     zero = np.flatnonzero(sums == 0)
     if len(zero) == 1:
         k = zero[0]
@@ -122,9 +215,14 @@ def _var_gradient(p, z):
     return np.repeat(col[:, None], z.shape[1], axis=1)
 
 
-def _var_phi(p, z):
-    g = z.sum(axis=1)
-    return g * (g - g.mean()) / len(g), float(np.mean((g - g.mean()) ** 2)), {}
+def _var_phi(p, z, z0):
+    # The gradient is linear in tau, so phi_i = (g_i - g0_i)((g_i - gbar) +
+    # (g0_i - g0bar)) / n; the order of operations keeps g (g - gbar) / n
+    # bit for bit at the zero baseline.
+    g, g0 = z.sum(axis=1), z0.sum(axis=-1)
+    gbar, g0bar = g.mean(), g0.mean()
+    phi = (g - g0) * ((g - gbar) - (g0bar - g0)) / len(g)
+    return phi, float(np.mean((g - gbar) ** 2) - ((g0 - g0bar) ** 2).mean()), {}
 
 
 def _gini_value(p, z) -> float:
@@ -143,11 +241,14 @@ def _gini_gradient(p, z):
     return np.repeat(col[:, None], z.shape[1], axis=1)
 
 
-def _gini_phi(p, z):
+def _gini_phi(p, z, z0):
+    # From a shared row z0 every g_i moves as (1 - tau) sum(z0) + tau g_i, so
+    # the ranks hold along the path.  The rank weights sum to zero and
+    # f(z0) = 0, hence delta_v = sum(phi).
     g = z.sum(axis=1)
     n = len(g)
     ranks, ties = gini_ranks(g)
-    phi = g * (2.0 * ranks - n - 1.0) / n**2
+    phi = (g - z0.sum()) * (2.0 * ranks - n - 1.0) / n**2
     return phi, float(phi.sum()), {"gini_ties": ties}
 
 
@@ -221,7 +322,8 @@ KINDS: dict[str, Kind] = {
         agent_stats=lambda p, z: (z.sum(axis=1), z.sum(axis=1) ** 2),
         from_stats=lambda p, s, count: s[1] / count - (s[0] / count) ** 2,
     ),
-    "gini": Kind(evaluate=_gini_value, gradient=_gini_gradient, closed_form=_gini_phi),
+    "gini": Kind(evaluate=_gini_value, gradient=_gini_gradient, closed_form=_gini_phi,
+                 covers="shared_row"),
     "additive": Kind(
         evaluate=lambda p, z: float(np.sum(p["weights"] * z)),
         gradient=lambda p, z: np.broadcast_to(p["weights"], z.shape).copy(),
@@ -289,10 +391,17 @@ class ValueFunction:
     def gradient(self, features) -> np.ndarray:
         return self._spec.gradient(self.params, self._check(_as_features(features)))
 
-    def closed_form(self, z: np.ndarray) -> tuple[np.ndarray, float, dict]:
-        """(phi, delta_v, metadata) of the path integral from the zero
-        baseline; z is an array that :func:`_as_features` accepted."""
-        return self._spec.closed_form(self.params, self._check(z))
+    def closed_form(self, z: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, float, dict]:
+        """(phi, delta_v, metadata) of the path integral from baseline z0, as
+        :func:`as_baseline` returns it; z is an array that :func:`_as_features`
+        accepted."""
+        return self._spec.closed_form(self.params, self._check(z), z0)
+
+    def covers(self, z0: np.ndarray) -> bool:
+        """The kind has a closed form from baseline z0, as :func:`as_baseline`
+        returns it: a shared row or, for most kinds, a per-agent array."""
+        spec = self._spec
+        return spec.closed_form is not None and (spec.covers == "any" or z0.ndim == 1)
 
     def agent_stats(self, z: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
         """Per-agent statistics whose sums over a coalition C give v(C) under

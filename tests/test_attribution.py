@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import quad
 
 from aspanel import attribution, panel, valuefn
 from aspanel.attribution import BaselineSpec
@@ -197,8 +199,9 @@ class TestDispatchAndNormalize:
         assert res.method["name"] == "analytic"
 
     def test_auto_falls_back_to_midpoint(self, abs_gaussian):
+        # gini's closed form covers a shared row only, not a per-agent baseline
         z = abs_gaussian(6)
-        res = attribution.attribute(valuefn.gini(), z, baseline=z.mean(axis=0))
+        res = attribution.attribute(valuefn.gini(), z, baseline=abs_gaussian(6, seed=1))
         assert res.method["name"] == "midpoint"
 
     def test_unknown_method_rejected(self):
@@ -213,6 +216,191 @@ class TestDispatchAndNormalize:
         res = attribution.attribute(valuefn.variance(), np.ones((3, 2)))
         with pytest.raises(DegenerateChangeError):
             attribution.normalize(res)
+
+
+# the baseline classes of each value of valuefn.Kind.covers
+BASELINE_CLASSES = {"shared_row": ("zero", "population_mean", "custom_vector"),
+                    "any": ("zero", "population_mean", "custom_vector", "per_agent")}
+CLOSED_PAIRS = [(name, b) for name, kind in valuefn.KINDS.items() if kind.closed_form
+                for b in BASELINE_CLASSES[kind.covers]]
+
+
+@st.composite
+def planted_panel(draw, baseline):
+    """A nonnegative n x D panel of scale 1e-3..30 and a baseline of the given
+    class.  Agent 0 sits at its baseline row (a null agent), and agents 1 and
+    2 are identical, baseline rows included."""
+    n, D = draw(st.integers(3, 30)), draw(st.integers(1, 5))
+    unit, scale = st.floats(0.0, 1.0), st.floats(1e-3, 30.0)
+    z = draw(arrays(np.float64, (n, D), elements=unit)) * draw(scale)
+    z[2] = z[1]
+    if baseline == "zero":
+        z0 = np.zeros(D)
+        z[0] = z0
+    elif baseline == "population_mean":
+        z[0] = z[1:].mean(axis=0)  # then the mean of all rows, up to rounding
+        z0 = BaselineSpec("population_mean")
+    elif baseline == "custom_vector":
+        z0 = BaselineSpec("custom_vector", draw(arrays(np.float64, D, elements=unit)) * draw(scale))
+        z[0] = z0.vector
+    else:
+        z0 = draw(arrays(np.float64, (n, D), elements=unit)) * draw(scale)
+        z0[2] = z0[1]
+        z[0] = z0[0]
+    # with every g_i equal, delta_v and phi are rounding noise
+    g = z.sum(axis=1)
+    assume(np.ptp(g) > 1e-9 * np.abs(g).max())
+    return z, z0
+
+
+def path_mass(f, z, z0, K=64):
+    """Per agent, sum_d |z_id - z0_id| times the mean |gradient| along the
+    path: the size of the terms that add up to delta_v, which is the scale
+    rounding errors are measured against when those terms cancel."""
+    z0 = np.broadcast_to(z0, z.shape)
+    grad = sum(np.abs(f.gradient(z0 + (k + 0.5) / K * (z - z0))) for k in range(K)) / K
+    return (np.abs(z - z0) * grad).sum(axis=1)
+
+
+def heat_root_distance(z, z0):
+    """Distance from [0, 1] to the nearest complex root of q(tau) = 1 +
+    prod_d m_d(tau), the column means m(tau) moving from z0's to z's."""
+    m0, m1 = np.broadcast_to(z0, z.shape).mean(axis=0), z.mean(axis=0)
+    q = np.polynomial.Polynomial([1.0])
+    for a, b in zip(m0, m1):
+        q = q * np.polynomial.Polynomial([a, b - a])
+    q = q + 1.0
+    roots = q.trim(1e-16 * np.abs(q.coef).max()).roots()  # negligible top terms: roots past 1e16
+    return min([abs(r.imag) if 0 <= r.real <= 1 else min(abs(r), abs(r - 1)) for r in roots],
+               default=np.inf)
+
+
+def heat_quadrature(z, z0):
+    """Heat phi with each I_d from scipy's adaptive quadrature, breakpoints
+    graded toward both ends of the path, where narrow features sit."""
+    z0 = np.broadcast_to(z0, z.shape)
+    m0, m1 = z0.mean(axis=0), z.mean(axis=0)
+    points = sorted([10.0**-k for k in range(1, 14)] + [1 - 10.0**-k for k in range(1, 14)])
+
+    def others(tau, d):
+        m = (1 - tau) * m0 + tau * m1
+        return np.prod(np.delete(m, d)) / (1 + np.prod(m))
+
+    I = [quad(others, 0, 1, args=(d,), points=points, epsabs=0, epsrel=1e-12, limit=500)[0]
+         for d in range(z.shape[1])]
+    return (z - z0) @ np.array(I) / len(z)
+
+
+class TestClosedFormBaselines:
+    """auto takes the closed form at every baseline its kind covers."""
+
+    @pytest.mark.parametrize("name,baseline", CLOSED_PAIRS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_efficiency_null_and_symmetry(self, name, baseline, data):
+        z, spec = data.draw(planted_panel(baseline))
+        f = valuefn.by_name(name)
+        res = attribution.attribute(f, z, spec)
+        assert res.method["name"] == ("closed_form" if np.any(res.baseline) else "analytic")
+        z0 = np.broadcast_to(res.baseline, z.shape)
+        dv = f.evaluate(z) - f.evaluate(z0)
+        mass = path_mass(f, z, z0)
+        scale = max(abs(f.evaluate(z)), abs(f.evaluate(z0)), mass.sum())
+        tol = 1e-12 * scale + np.finfo(float).tiny  # a subnormal has no relative precision
+        assert abs(res.delta_v - dv) <= tol
+        assert abs(res.phi.sum() - dv) <= tol
+        # agent 0 sits at the population mean only up to the mean's rounding,
+        # which its own mass measures; at the other baselines that mass is 0
+        assert abs(res.phi[0]) <= tol + mass[0]
+        assert abs(res.phi[1] - res.phi[2]) <= tol
+
+    @pytest.mark.parametrize("name,baseline", CLOSED_PAIRS)
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_matches_richardson_midpoint(self, name, baseline, data):
+        # (4 mid(2K) - mid(K)) / 3 cancels the midpoint's 1/K^2 term; its
+        # distance to the same extrapolation at half the K estimates the
+        # reference's own error, which is added to the tolerance.  That
+        # estimate holds only where the midpoints resolve the path, so two
+        # kinds of panel are left to other tests.
+        z, spec = data.draw(planted_panel(baseline))
+        f = valuefn.by_name(name)
+        res = attribution.attribute(f, z, spec)
+        if name == "gini":
+            # Different rows whose sums tie, or nearly tie, can change order
+            # at the rounded midpoints, where gini has a kink; the exact
+            # path keeps their order.  Identical rows stay tied.
+            g = np.sort(np.unique(z, axis=0).sum(axis=1))
+            assume(np.all(np.diff(g) > 1e-9 * (np.abs(g).max() + np.abs(res.baseline).sum())))
+        if name == "heat":
+            # a root of q = 1 + prod m(tau) near [0, 1] makes a feature
+            # narrower than the midpoint spacing (see the quadrature test)
+            assume(heat_root_distance(z, res.baseline) > 0.05)
+        mid = {K: attribution.attribute_path_integral(f, z, spec, K=K).phi
+               for K in (500, 1000, 2000)}
+        ref, coarse = (4 * mid[2000] - mid[1000]) / 3, (4 * mid[1000] - mid[500]) / 3
+        scale = max(np.abs(ref).sum(), path_mass(f, z, res.baseline).sum())
+        assert np.abs(res.phi - ref).sum() <= 1e-8 * scale + np.abs(ref - coarse).sum()
+
+    @pytest.mark.parametrize("baseline", BASELINE_CLASSES["any"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_heat_matches_adaptive_quadrature(self, baseline, data):
+        # covers the narrow features the Richardson test leaves out
+        z, spec = data.draw(planted_panel(baseline))
+        f = valuefn.heat()
+        res = attribution.attribute(f, z, spec)
+        ref = heat_quadrature(z, res.baseline)
+        scale = max(np.abs(ref).sum(), path_mass(f, z, res.baseline).sum())
+        assert np.abs(res.phi - ref).sum() <= 1e-9 * scale + np.finfo(float).tiny
+
+    @pytest.mark.parametrize("c", [1.0, 1e2, 1e4])
+    def test_heat_narrow_feature_hand_value(self, c):
+        # m(tau) = (c tau, c): q = 1 + c^2 tau rises over a width 1/c^2 at
+        # tau = 0, which no midpoint rule at moderate K resolves; here
+        # I_0 = log1p(c^2) / c and I_1 = (1 - log1p(c^2) / c^2) / c exactly
+        z = np.array([[2 * c, 0.0], [0.0, 2 * c]])
+        res = attribution.attribute(valuefn.heat(), z, np.array([0.0, c]))
+        i0, i1 = np.log1p(c**2) / c, (1 - np.log1p(c**2) / c**2) / c
+        want = np.array([(2 * c * i0 - c * i1) / 2, c * i1 / 2])
+        assert res.phi == pytest.approx(want, rel=1e-13)
+        assert res.efficiency_residual() <= 1e-14 * abs(res.delta_v)
+
+    def test_var_hand_value_at_custom_row(self):
+        # g = (1, 3), g0 = 1: phi_i = (g_i - 1)((g_i - 2) - (1 - 1)) / 2 = (0, 1)
+        res = attribution.attribute(valuefn.variance(), [[1.0], [3.0]], np.array([1.0]))
+        assert res.phi == pytest.approx([0.0, 1.0])
+        assert res.delta_v == pytest.approx(1.0)
+
+    def test_gini_hand_value_at_custom_row(self):
+        # g = (1, 3), sum(z0) = 2: phi_i = (g_i - 2)(2 r_i - 3) / 4 = (1/4, 1/4)
+        res = attribution.attribute(valuefn.gini(), [[1.0], [3.0]], np.array([2.0]))
+        assert res.phi == pytest.approx([0.25, 0.25])
+        assert res.delta_v == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("name", ["lin", "var", "heat"])
+    def test_per_agent_method_named(self, name, abs_gaussian):
+        res = attribution.attribute(valuefn.by_name(name), abs_gaussian(5), abs_gaussian(5, seed=1))
+        assert res.method == {"name": "closed_form", "baseline": "per_agent", "f": name}
+
+    def test_heat_pole_on_the_path_rejected(self):
+        # 1 + prod m(tau) <= 0 for tau in about [0.03, 0.37], finite at both ends
+        z = np.array([[-3.0, -2.0], [-5.0, -2.4]])
+        with pytest.raises(AspanelError, match="reaches zero"):
+            attribution.attribute(valuefn.heat(), z, np.array([4.0, -0.2]))
+
+    def test_heat_pole_past_the_end_rejected(self):
+        # from zero, q(tau) = 1 + tau^2 prod(m) falls to -1 at tau = 1
+        with pytest.raises(AspanelError, match="reaches zero"):
+            attribution.attribute(valuefn.heat(), [[-2.0, 1.0], [-2.0, 1.0]])
+
+    def test_signed_heat_without_pole_matches_midpoint(self):
+        rng = np.random.default_rng(3)
+        z, z0 = rng.uniform(-1, 1, (40, 3)), rng.uniform(-1, 1, 3)
+        res = attribution.attribute(valuefn.heat(), z, z0)
+        mid = attribution.attribute_path_integral(valuefn.heat(), z, z0, K=2000)
+        assert np.abs(res.phi - mid.phi).sum() <= np.abs(res.phi).sum() / 2000**2
+        assert res.efficiency_residual() <= 1e-14
 
 
 class TestBaselineSpec:

@@ -129,6 +129,18 @@ class TestAttribute:
                     "--out-dir", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("f,baseline,method", [
+        ("var", "zero", {"name": "analytic", "f": "var"}),
+        ("var", "population_mean", {"name": "closed_form", "baseline": "shared_row", "f": "var"}),
+        ("heat", "first_step", {"name": "closed_form", "baseline": "per_agent", "f": "heat"}),
+        ("gini", "first_step", {"name": "midpoint", "K": 30, "f": "gini"}),
+    ])
+    def test_summary_names_the_path(self, panel_file, tmp_path, f, baseline, method):
+        assert run(["attribute", str(panel_file), "--f", f, "--baseline", baseline,
+                    "--out", str(tmp_path / "a.csv"), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "a.csv.summary.json").read_text())
+        assert summary["method"] == method
+
     def test_analytic_nonzero_baseline_is_usage_error(self, panel_file, tmp_path):
         code = run(["attribute", str(panel_file), "--f", "var",
                     "--method", "analytic", "--baseline", "population_mean",
@@ -244,10 +256,12 @@ class TestCsvBytes:
                          {"ts": 210 + k, "actor": "bob", "kind": "reply", "text": "solar", "target": a}]
         p.write_text("\n".join(json.dumps(r) for r in rows))
         out = tmp_path / "panel.asp"
-        assert run(["ingest", str(p), "solar", "--window-start", "100", "--window-end", "300",
-                    "--step", "100", "--out", str(out), "--csv", "--out-dir", str(tmp_path)]) == 0
+        # an empty actor is malformed, so the empty id cannot come from ingest
+        with pytest.warns(UserWarning, match="skipped 1 malformed"):
+            assert run(["ingest", str(p), "solar", "--window-start", "100", "--window-end", "300",
+                        "--step", "100", "--out", str(out), "--csv", "--out-dir", str(tmp_path)]) == 0
         pn = panel.FeaturePanel.load(out)
-        assert sorted(pn.agent_ids) == sorted(AWKWARD_IDS + ["bob"])
+        assert sorted(pn.agent_ids) == sorted([a for a in AWKWARD_IDS if a] + ["bob"])
         reference_panel_csv(tmp_path / "ref.csv", pn)
         assert (tmp_path / "panel.asp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 

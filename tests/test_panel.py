@@ -72,6 +72,12 @@ class TestEventRecord:
         with pytest.raises(ValueError):
             rec.validate()
 
+    def test_empty_actor_rejected(self):
+        # an empty id could never be a follow or reply target, so its row
+        # would never count reach or resonance
+        with pytest.raises(ValueError):
+            panel.EventRecord(1, "", "post").validate()
+
     def test_lone_surrogate_actor_rejected(self):
         # agent ids are UTF-8 in the panel file, and a lone surrogate has no encoding
         with pytest.raises(ValueError):
@@ -341,6 +347,16 @@ class TestJsonl:
         pn = panel.ingest_events(events, ["hi"], (0, 200), 100)
         pn.save(tmp_path / "p.asp")
         assert panel.FeaturePanel.load(tmp_path / "p.asp").agent_ids == ["g"]
+
+    def test_empty_actor_counted(self, tmp_path):
+        p = tmp_path / "events.jsonl"
+        p.write_text('{"ts": 100, "actor": "g", "kind": "post", "text": "hi"}\n'
+                     '{"ts": 101, "actor": "", "kind": "post", "text": "hi"}\n'
+                     '{"ts": 102, "actor": "g", "kind": "reply", "text": "hi", "target": ""}\n')
+        with pytest.warns(UserWarning, match="skipped 2 malformed"):
+            events, bad = panel.read_events_jsonl(p)
+        assert bad == 2
+        assert panel.ingest_events(events, ["hi"], (0, 200), 100).agent_ids == ["g"]
 
     def test_utf8_and_crlf_lines_read(self, tmp_path):
         p = tmp_path / "events.jsonl"

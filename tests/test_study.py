@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aspanel import attribution, panel, study, valuefn
+from aspanel import attribution, cli, panel, study, valuefn
 from aspanel.errors import AspanelError, DegenerateChangeError
 from aspanel.panel import FeaturePanel, SyntheticPanelSpec, generate_synthetic, make_tier_partition
 
@@ -143,6 +143,30 @@ class TestFlipStudy:
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("protocol,n,n_seeds,n_degenerate,share_top")
         assert len(lines) == 4  # header + full row + two protocol rows
+
+    def test_cli_flip_ranks_each_pool_once(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountingSampler(study.SubsetSampler):
+            def __init__(self, *args):
+                built.append(args[1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(study, "SubsetSampler", CountingSampler)
+        cfg = tmp_path / "flip.cfg"
+        cfg.write_text(f"mode = flip\nn_agents = 400\nf = var gini heat\nsizes = 20 50\n"
+                       f"seeds = 0 1\nprotocols = {' '.join(study.PROTOCOLS)}\n")
+        assert cli.main(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert sorted(built) == sorted(study.PROTOCOLS)
+
+    def test_given_samplers_match_built_ones(self, pareto_feats):
+        part = make_tier_partition(pareto_feats[:, 0])
+        args = (pareto_feats, valuefn.gini(), part, study.PROTOCOLS, (30, 300), range(3))
+        samplers = {p: study.SubsetSampler(pareto_feats, p, 0.02, 200) for p in study.PROTOCOLS}
+        given = study.flip_study(*args, samplers=samplers)
+        built = study.flip_study(*args, pool_fraction=0.02, pool_size=200)
+        for a, b in zip(given.rows, built.rows):
+            assert np.array_equal(a["per_seed_shares"], b["per_seed_shares"])
 
     def test_degenerate_subsets_counted(self):
         # one distinguished agent: subsets that miss it have zero variance
