@@ -165,10 +165,12 @@ def _path_integral(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, path
     if K < 1:
         raise AspanelError("K must be a positive integer")
     n, D = z.shape
-    z0_full = np.broadcast_to(z0, z.shape)
+    row = as_baseline(z0, z.shape)
+    z0_full = np.broadcast_to(row, z.shape)
     delta = z - z0_full
 
     if path == "linear":
+        f.check_path(z, row)
         acc = np.zeros_like(z)
         for k in range(1, K + 1):
             tau = (k - 0.5) / K
@@ -181,6 +183,10 @@ def _path_integral(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, path
         state = np.array(z0_full, dtype=np.float64)
         phi = np.zeros(n)
         for i in order:
+            # each leg is a straight path of its own: agent i alone fades in
+            end = state.copy()
+            end[i] = z[i]
+            f.check_path(end, state)
             acc_i = np.zeros(D)
             for k in range(1, K + 1):
                 tau = (k - 0.5) / K

@@ -41,9 +41,9 @@ class CoalitionGame:
         self.features = z
         self.semantics = semantics
         self.baseline = _resolve_baseline(baseline, z)
-        # per-agent statistics whose coalition sums give v(C), when f has them
-        linear = semantics == "restrict" and not np.any(self.baseline)
-        self._stats = f.agent_stats(z) if linear else None
+        # per-agent statistics for f's vectorized coalition values, when it has them
+        hooked = semantics == "restrict" and not np.any(self.baseline)
+        self._stats = f.agent_stats(z) if hooked else None
 
     @property
     def n(self) -> int:
@@ -69,13 +69,11 @@ class CoalitionGame:
         return self._stats is not None
 
     def mask_values(self, masks: np.ndarray) -> np.ndarray:
-        """v(C) for a (m, n) boolean coalition matrix; vectorized when the
-        value is a function of coalition linear statistics."""
+        """v(C) for a (m, n) boolean coalition matrix; vectorized when f's
+        kind has coalition hooks (see :meth:`ValueFunction.agent_stats`)."""
         masks = np.asarray(masks, dtype=bool)
         if self._fast:
-            m = masks.astype(np.float64)
-            sums = [m @ s for s in self._stats]
-            return self.f.values_from_stats(sums, m.sum(axis=1))
+            return self.f.mask_values(self._stats, masks)
         return np.array([self.value(np.flatnonzero(row)) for row in masks])
 
 
@@ -160,13 +158,11 @@ def sampled_shapley(game: CoalitionGame, m: int, seed: Optional[int] = None) -> 
     n = game.n
     acc = np.zeros(n)
     acc2 = np.zeros(n)
-    count = np.arange(1, n + 1, dtype=np.float64)
     for j in range(m):
         rng = np.random.default_rng((seed, j) if seed is not None else None)
         perm = rng.permutation(n)
         if game._fast:
-            sums = [np.cumsum(s[perm], axis=0) for s in game._stats]
-            prefix_vals = game.f.values_from_stats(sums, count)
+            prefix_vals = game.f.prefix_values(game._stats, perm)
         else:
             prefix_vals = np.empty(n)
             for t in range(n):

@@ -83,8 +83,16 @@ class Kind:
     # z0, a length-D row shared by every agent or an n x D array (as_baseline)
     closed_form: Optional[Callable] = None
     covers: str = "any"  # baselines closed_form integrates: "any" | "shared_row"
-    agent_stats: Optional[Callable] = None  # -> per-agent statistics, summed per coalition
-    from_stats: Optional[Callable] = None  # (params, coalition sums, sizes) -> v(C), restrict
+    # (params, z, z0): raises AspanelError where the straight path from the
+    # resolved baseline z0 to z leaves the domain of f
+    check_path: Callable = lambda p, z, z0: None
+    # coalition values under restrict semantics from a zero baseline: agent_stats
+    # (params, z) runs once per game, and its stats feed mask_values(params,
+    # stats, masks), v(C) for each row of an (m, n) boolean matrix, and
+    # prefix_values(params, stats, perm), v(perm[:t]) for t = 1..n; v(empty) = 0
+    agent_stats: Optional[Callable] = None
+    mask_values: Optional[Callable] = None
+    prefix_values: Optional[Callable] = None
     required: tuple = ()  # params every caller must supply
     agent_params: dict = field(default_factory=dict)  # name -> "rows" (n x D) | "pairs" (n x n)
     defaults: dict = field(default_factory=dict)
@@ -152,6 +160,14 @@ def _heat_path_roots(m0, slope):
     return roots
 
 
+def _heat_path(p, z, z0):
+    """(m0, m1, roots): the column means at baseline z0 and at z, and the roots
+    of q on the path between them, after checking that q stays positive."""
+    m1 = z.mean(axis=0)
+    m0 = z0 if z0.ndim == 1 else z0.mean(axis=0)
+    return m0, m1, _heat_path_roots(m0, m1 - m0)
+
+
 def _heat_path_weights(m0, m1, roots):
     """I_d = integral over [0, 1] of prod_{d' != d} m_d'(tau) / q(tau)."""
     panels, todo = [], [(0.0, 1.0)]
@@ -181,12 +197,12 @@ def _heat_path_weights(m0, m1, roots):
 
 def _heat_phi(p, z, z0):
     n, D = z.shape
-    m1 = z.mean(axis=0)
     if z0.any():
         # the gradient is the same row for every agent, integrated once
-        m0 = z0 if z0.ndim == 1 else z0.mean(axis=0)
-        weights = _heat_path_weights(m0, m1, _heat_path_roots(m0, m1 - m0))
+        m0, m1, roots = _heat_path(p, z, z0)
+        weights = _heat_path_weights(m0, m1, roots)
         return (z - z0) @ weights / n, float(np.log1p(np.prod(m1)) - np.log1p(np.prod(m0))), {}
+    m1 = z.mean(axis=0)
     _heat_check_path([1.0 + float(np.prod(m1))])  # q(tau) = 1 + tau^D prod(m1) is monotone
     val = float(np.log1p(np.prod(m1)))
     # From zero, phi_i = (v / D) sum_d z_id / sum_j z_jd; a zero column sum
@@ -252,6 +268,44 @@ def _gini_phi(p, z, z0):
     return phi, float(phi.sum()), {"gini_ties": ties}
 
 
+# elements of the pairwise |g_s - g_j| block that _gini_prefix_values holds at once
+GINI_PREFIX_BLOCK = 1 << 16
+
+
+def _gini_stats(p, z):
+    g = z.sum(axis=1)
+    return g, np.argsort(g, kind="stable")
+
+
+def _gini_mask_values(p, stats, masks):
+    # With the agents in ascending order of g, the running count R of members
+    # is each member's rank within the coalition C, so by the sorted-rank
+    # identity v(C) = sum_C g (2R - |C| - 1) / |C|^2.  Ties may take any order.
+    g, order = stats
+    member = masks[:, order]
+    w = np.cumsum(member, axis=1, dtype=np.float64)
+    size = w[:, -1].copy()
+    w *= 2.0
+    w -= (size + 1.0)[:, None]
+    w *= member
+    return (w @ g[order]) / np.maximum(size, 1.0) ** 2
+
+
+def _gini_prefix_values(p, stats, perm):
+    # v(perm[:t]) = S_t / t^2, S_t the sum of |g_i - g_j| over the pairs in
+    # the prefix: each new agent s adds its distances to the agents before it
+    h = stats[0][perm]
+    n = len(h)
+    rows = max(1, GINI_PREFIX_BLOCK // n)
+    added = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        dist = np.abs(h[lo:hi, None] - h[None, :hi])
+        added[lo:hi] = np.tril(dist, lo - 1).sum(axis=1)
+    t = np.arange(1.0, n + 1)
+    return np.cumsum(added) / (t * t)
+
+
 def _quadratic_value(p, z) -> float:
     s = z.sum(axis=1)
     return float(np.sum(p["diag"] * z**2) + 0.5 * s @ p["coupling"] @ s)
@@ -304,30 +358,54 @@ def _weighted_sums(p, z):
     return ((p["weights"] * z).sum(axis=1),)
 
 
+def _summed(from_stats) -> dict:
+    """The coalition hooks of a kind whose v(C) is from_stats(params, the
+    coalition sums of its agent stats, |C|): mask sums as M @ s, prefix sums
+    as cumsum(s[perm])."""
+
+    def values(p, sums, count):
+        safe = np.where(count > 0, count, 1.0)
+        return np.where(count > 0, from_stats(p, sums, safe), 0.0)
+
+    def mask_values(p, stats, masks):
+        m = masks.astype(np.float64)
+        return values(p, [m @ s for s in stats], m.sum(axis=1))
+
+    def prefix_values(p, stats, perm):
+        count = np.arange(1, len(perm) + 1, dtype=np.float64)
+        return values(p, [np.cumsum(s[perm], axis=0) for s in stats], count)
+
+    return {"mask_values": mask_values, "prefix_values": prefix_values}
+
+
 KINDS: dict[str, Kind] = {
     "lin": Kind(
         evaluate=lambda p, z: float(z.sum(axis=1).mean()),
         gradient=lambda p, z: np.full_like(z, 1.0 / z.shape[0]),
         closed_form=_lin_phi,
         agent_stats=lambda p, z: (z.sum(axis=1),),
-        from_stats=lambda p, s, count: s[0] / count,
+        **_summed(lambda p, s, count: s[0] / count),
     ),
     "heat": Kind(
         evaluate=_heat_value, gradient=_heat_gradient, closed_form=_heat_phi,
+        check_path=_heat_path,
         agent_stats=lambda p, z: (z,),
-        from_stats=lambda p, s, count: np.log1p(np.prod(s[0] / count[..., None], axis=-1)),
+        **_summed(lambda p, s, count: np.log1p(np.prod(s[0] / count[..., None], axis=-1))),
     ),
     "var": Kind(
         evaluate=_var_value, gradient=_var_gradient, closed_form=_var_phi,
         agent_stats=lambda p, z: (z.sum(axis=1), z.sum(axis=1) ** 2),
-        from_stats=lambda p, s, count: s[1] / count - (s[0] / count) ** 2,
+        **_summed(lambda p, s, count: s[1] / count - (s[0] / count) ** 2),
     ),
-    "gini": Kind(evaluate=_gini_value, gradient=_gini_gradient, closed_form=_gini_phi,
-                 covers="shared_row"),
+    "gini": Kind(
+        evaluate=_gini_value, gradient=_gini_gradient, closed_form=_gini_phi,
+        covers="shared_row", agent_stats=_gini_stats, mask_values=_gini_mask_values,
+        prefix_values=_gini_prefix_values,
+    ),
     "additive": Kind(
         evaluate=lambda p, z: float(np.sum(p["weights"] * z)),
         gradient=lambda p, z: np.broadcast_to(p["weights"], z.shape).copy(),
-        agent_stats=_weighted_sums, from_stats=lambda p, s, count: s[0],
+        agent_stats=_weighted_sums, **_summed(lambda p, s, count: s[0]),
         required=("weights",), agent_params={"weights": "rows"},
     ),
     "quadratic_cross": Kind(
@@ -339,7 +417,7 @@ KINDS: dict[str, Kind] = {
     "softplus": Kind(
         evaluate=_softplus_value, gradient=_softplus_gradient,
         agent_stats=_weighted_sums,
-        from_stats=lambda p, s, count: np.logaddexp(0.0, p["scale"] * s[0]) / p["scale"],
+        **_summed(lambda p, s, count: np.logaddexp(0.0, p["scale"] * s[0]) / p["scale"]),
         required=("weights",), agent_params={"weights": "rows"},
         defaults={"scale": 0.35}, check=_check_scale,
     ),
@@ -397,6 +475,11 @@ class ValueFunction:
         accepted."""
         return self._spec.closed_form(self.params, self._check(z), z0)
 
+    def check_path(self, z: np.ndarray, z0: np.ndarray) -> None:
+        """Raise AspanelError where the straight path from baseline z0, as
+        :func:`as_baseline` returns it, to z leaves the domain of f."""
+        self._spec.check_path(self.params, z, z0)
+
     def covers(self, z0: np.ndarray) -> bool:
         """The kind has a closed form from baseline z0, as :func:`as_baseline`
         returns it: a shared row or, for most kinds, a per-agent array."""
@@ -404,16 +487,19 @@ class ValueFunction:
         return spec.closed_form is not None and (spec.covers == "any" or z0.ndim == 1)
 
     def agent_stats(self, z: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
-        """Per-agent statistics whose sums over a coalition C give v(C) under
-        restrict semantics (see :meth:`values_from_stats`), or None; z as above."""
+        """Per-agent statistics from which :meth:`mask_values` and
+        :meth:`prefix_values` give v(C) under restrict semantics from a zero
+        baseline, or None when the kind has no such hooks; z as above."""
         stats = self._spec.agent_stats
         return None if stats is None else stats(self.params, self._check(z))
 
-    def values_from_stats(self, sums: Sequence[np.ndarray], count) -> np.ndarray:
-        """v(C) from coalition sums of :meth:`agent_stats` and sizes; empty -> 0."""
-        count = np.asarray(count, dtype=np.float64)
-        safe = np.where(count > 0, count, 1.0)
-        return np.where(count > 0, self._spec.from_stats(self.params, sums, safe), 0.0)
+    def mask_values(self, stats, masks: np.ndarray) -> np.ndarray:
+        """v(C) for each row of an (m, n) boolean coalition matrix; empty -> 0."""
+        return self._spec.mask_values(self.params, stats, masks)
+
+    def prefix_values(self, stats, perm: np.ndarray) -> np.ndarray:
+        """v(perm[:t]) for t = 1..n, the coalitions a permutation builds up."""
+        return self._spec.prefix_values(self.params, stats, perm)
 
     @property
     def has_closed_form(self) -> bool:

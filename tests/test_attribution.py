@@ -154,6 +154,15 @@ class TestMidpoint:
         with pytest.raises(AspanelError):
             attribution.attribute_path_integral(valuefn.heat(), [[1.0]], path="spiral")
 
+    @pytest.mark.parametrize("engine", [
+        lambda f, z, z0: attribution.attribute(f, z, z0, method="midpoint"),
+        attribution.attribute_path_integral,
+    ], ids=["attribute_midpoint", "attribute_path_integral"])
+    def test_baseline_that_does_not_fit_rejected(self, engine):
+        f = valuefn.softplus_aggregator(np.ones((4, 3)))
+        with pytest.raises(AspanelError, match="does not fit 4 agents x 3 dims"):
+            engine(f, np.ones((4, 3)), np.ones((2, 3)))
+
 
 class TestAxioms:
     @pytest.mark.parametrize("make", ANALYTIC)
@@ -384,10 +393,12 @@ class TestClosedFormBaselines:
         assert res.method == {"name": "closed_form", "baseline": "per_agent", "f": name}
 
     def test_heat_pole_on_the_path_rejected(self):
-        # 1 + prod m(tau) <= 0 for tau in about [0.03, 0.37], finite at both ends
+        # 1 + prod m(tau) <= 0 for tau in about [0.03, 0.37], finite at both ends;
+        # the midpoint rule would integrate straight through it
         z = np.array([[-3.0, -2.0], [-5.0, -2.4]])
-        with pytest.raises(AspanelError, match="reaches zero"):
-            attribution.attribute(valuefn.heat(), z, np.array([4.0, -0.2]))
+        for method in ("auto", "midpoint", "permuted_path"):
+            with pytest.raises(AspanelError, match="reaches zero"):
+                attribution.attribute(valuefn.heat(), z, np.array([4.0, -0.2]), method=method)
 
     def test_heat_pole_past_the_end_rejected(self):
         # from zero, q(tau) = 1 + tau^2 prod(m) falls to -1 at tau = 1

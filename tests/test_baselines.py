@@ -81,7 +81,7 @@ class TestGameValues:
         (valuefn.linear_mean, True),
         (valuefn.heat, True),
         (valuefn.variance, True),
-        (valuefn.gini, False),
+        (valuefn.gini, True),
     ])
     def test_mask_values_agree_with_scalar_path(self, make, fast, abs_gaussian, rng):
         z = abs_gaussian(8, seed=30)
@@ -91,6 +91,30 @@ class TestGameValues:
         vals = game.mask_values(masks)
         slow = np.array([game.value(np.flatnonzero(r)) for r in masks])
         assert vals == pytest.approx(slow, abs=1e-12)
+
+    def test_gini_restrict_game_makes_no_scalar_calls(self, abs_gaussian, monkeypatch):
+        calls = []
+        scalar = CoalitionGame.value
+        monkeypatch.setattr(CoalitionGame, "value", lambda game, c: calls.append(c) or scalar(game, c))
+        game = CoalitionGame(valuefn.gini(), abs_gaussian(6, seed=32))
+        baselines.exact_shapley(game)
+        baselines.exact_banzhaf(game)
+        baselines.sampled_shapley(game, 5, seed=1)
+        baselines.sampled_banzhaf(game, 5, seed=1)
+        baselines.leave_one_out(game)
+        assert calls == []
+        game.value([0, 1])  # the patch does count scalar calls
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("block", [1, 120, 1 << 16])
+    def test_gini_prefix_blocks_match_scalar_path(self, block, rng, monkeypatch):
+        # at n = 50: one row per block, two rows per block, one block
+        monkeypatch.setattr(valuefn, "GINI_PREFIX_BLOCK", block)
+        z = np.round(rng.standard_normal((50, 2)), 1)  # signed, with ties
+        game = CoalitionGame(valuefn.gini(), z)
+        perm = rng.permutation(50)
+        slow = [game.value(perm[:t]) for t in range(1, 51)]
+        assert game.f.prefix_values(game.f.agent_stats(z), perm) == pytest.approx(slow, rel=1e-12)
 
     def test_mask_values_fast_softplus(self, abs_gaussian, rng):
         z = abs_gaussian(8, seed=31)
@@ -202,12 +226,12 @@ class TestSampled:
 
     def test_shapley_fast_path_matches_slow(self, abs_gaussian):
         z = abs_gaussian(10, seed=39)
-        fast = baselines.sampled_shapley(CoalitionGame(valuefn.variance(), z), 40, seed=9)
-        # gini is not a linear-statistic kind, so wrap variance as custom to
-        # force the scalar path with identical values
-        f_slow = valuefn.custom(lambda x: valuefn.variance().evaluate(x))
-        slow = baselines.sampled_shapley(CoalitionGame(f_slow, z), 40, seed=9)
-        assert fast.values == pytest.approx(slow.values, abs=1e-12)
+        for f in (valuefn.variance(), valuefn.gini()):
+            fast = baselines.sampled_shapley(CoalitionGame(f, z), 40, seed=9)
+            # a custom kind has no coalition hooks, so wrapping f as custom
+            # forces the scalar path with identical values
+            slow = baselines.sampled_shapley(CoalitionGame(valuefn.custom(f.evaluate), z), 40, seed=9)
+            assert fast.values == pytest.approx(slow.values, abs=1e-12)
 
     def test_banzhaf_converges_to_exact(self, abs_gaussian):
         game = CoalitionGame(valuefn.variance(), abs_gaussian(8, seed=40))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aspanel import attribution, baselines, cli, valuefn
 from aspanel.errors import AspanelError
@@ -249,7 +250,7 @@ class TestEveryKind:
         assert np.abs(mid.phi - ref.phi).sum() <= np.abs(ref.phi).sum() / 200**2
         assert mid.delta_v == pytest.approx(ref.delta_v, rel=1e-12)
 
-    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.agent_stats])
+    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.mask_values])
     def test_mask_values_match_scalar_path(self, name, abs_gaussian, rng):
         f = build(name, 8, 3, rng)
         if f is None:
@@ -259,6 +260,28 @@ class TestEveryKind:
         masks = rng.random((30, 8)) < 0.5
         slow = np.array([game.value(np.flatnonzero(row)) for row in masks])
         assert game.mask_values(masks) == pytest.approx(slow, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.mask_values])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_coalition_hooks_match_scalar_value(self, name, data):
+        # whole numbers give ties in g; heat's log1p needs nonnegative means
+        n, D = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 3))
+        low = 0 if name == "heat" else -10
+        entry = st.integers(low, 10).map(float) | st.floats(low, 10, allow_subnormal=False)
+        z = data.draw(arrays(np.float64, (n, D), elements=entry))
+        f = build(name, n, D, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        game = baselines.CoalitionGame(f, z)
+        drawn = data.draw(arrays(bool, (data.draw(st.integers(0, 6)), n)))
+        masks = np.vstack([np.zeros(n, bool), drawn, np.ones(n, bool)])
+        perm = np.array(data.draw(st.permutations(range(n))))
+        slow_masks = [game.value(np.flatnonzero(row)) for row in masks]
+        slow_prefix = [game.value(perm[:t]) for t in range(1, n + 1)]
+        # relative to the largest coalition value, so near-zero values compare sanely
+        tol = 1e-12 * (1.0 + max(map(abs, slow_masks + slow_prefix)))
+        assert game.mask_values(masks) == pytest.approx(slow_masks, rel=1e-12, abs=tol)
+        prefix = f.prefix_values(f.agent_stats(z), perm)
+        assert prefix == pytest.approx(slow_prefix, rel=1e-12, abs=tol)
 
     @pytest.mark.parametrize("name", list(valuefn.KINDS))
     def test_cli_offers_every_kind_it_can_supply(self, name, tmp_path, capsys):
