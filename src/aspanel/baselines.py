@@ -41,9 +41,9 @@ class CoalitionGame:
         self.features = z
         self.semantics = semantics
         self.baseline = _resolve_baseline(baseline, z)
-        # per-agent statistics for f's vectorized coalition values, when it has them
-        hooked = semantics == "restrict" and not np.any(self.baseline)
-        self._stats = f.agent_stats(z) if hooked else None
+        # per-agent statistics for f's vectorized coalition values, when it has
+        # them; restrict values never read the baseline, pinned ones do
+        self._stats = f.agent_stats(z) if semantics == "restrict" else None
 
     @property
     def n(self) -> int:

@@ -104,15 +104,14 @@ def _add_common(p: argparse.ArgumentParser):
 
 def cmd_ingest(args) -> int:
     run = _Run(args)
-    events, malformed = panel.read_events_jsonl(args.events)
     keywords = _split(Path(args.topics).read_text()) if Path(args.topics).exists() else _split(args.topics)
     snapshot = None
     if args.follower_snapshot:
         snapshot = {
             k: int(v) for k, v in json.loads(Path(args.follower_snapshot).read_text()).items()
         }
-    pn = panel.ingest_events(
-        events,
+    pn, counters = panel.ingest_jsonl(
+        args.events,
         keywords,
         (args.window_start, args.window_end),
         args.step,
@@ -123,7 +122,7 @@ def cmd_ingest(args) -> int:
     pn.save(run.path(args.out))
     if args.csv:
         pn.to_csv(run.path(args.out + ".csv"))
-    run.finish(ingest={"malformed": malformed, "records": len(events), "agents": pn.n_agents})
+    run.finish(ingest={**counters, "agents": pn.n_agents})
     print(f"panel: {pn.n_agents} agents x {pn.n_steps} steps x {pn.n_dims} dims")
     return EXIT_OK
 

@@ -27,10 +27,31 @@ from .errors import AspanelError, EmptyPanelError
 EVENT_KINDS = ("post", "reply", "repost", "follow")
 _KIND_CODE = {k: c for c, k in enumerate(EVENT_KINDS)}
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_TS_TYPES, _OPTIONAL_STR = (int, np.integer), (str, type(None))
 DEFAULT_DIM_NAMES = ("reach", "activity", "resonance")
 DEFAULT_CUT_FRACTIONS = (0.01, 0.10, 1.00)
 
 _MAGIC = b"ASP1"
+
+
+def _validate(ts, actor, kind, text, target) -> None:
+    """Raise ValueError unless the fields make a valid event."""
+    if not isinstance(ts, _TS_TYPES) or not _INT64_MIN <= ts <= _INT64_MAX:
+        raise ValueError(f"ts {ts!r} is not an int64 timestamp")
+    # agent ids are newline-delimited UTF-8 in the panel file
+    if not isinstance(actor, str) or not actor or "\n" in actor:
+        # an empty actor could never be a follow or reply target
+        raise ValueError(f"actor {actor!r} is not a nonempty one-line string")
+    if not actor.isascii():
+        actor.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
+    if kind not in EVENT_KINDS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    if not isinstance(text, _OPTIONAL_STR):
+        raise ValueError(f"text {text!r} is neither a string nor null")
+    if not isinstance(target, _OPTIONAL_STR) or (target and "\n" in target):
+        raise ValueError(f"target {target!r} is neither a one-line string nor null")
+    if kind in ("follow", "reply") and not target:
+        raise ValueError(f"{kind} event requires a target")
 
 
 class EventRecord(NamedTuple):
@@ -41,23 +62,7 @@ class EventRecord(NamedTuple):
     target: Optional[str] = None
 
     def validate(self) -> None:
-        ts, actor, kind, text, target = self  # one unpack; field access is slower
-        if not isinstance(ts, (int, np.integer)) or not _INT64_MIN <= ts <= _INT64_MAX:
-            raise ValueError(f"ts {ts!r} is not an int64 timestamp")
-        # agent ids are newline-delimited UTF-8 in the panel file
-        if not isinstance(actor, str) or not actor or "\n" in actor:
-            # an empty actor could never be a follow or reply target
-            raise ValueError(f"actor {actor!r} is not a nonempty one-line string")
-        if not actor.isascii():
-            actor.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        if not isinstance(text, (str, type(None))):
-            raise ValueError(f"text {text!r} is neither a string nor null")
-        if not isinstance(target, (str, type(None))) or (target and "\n" in target):
-            raise ValueError(f"target {target!r} is neither a one-line string nor null")
-        if kind in ("follow", "reply") and not target:
-            raise ValueError(f"{kind} event requires a target")
+        _validate(*self)
 
 
 @dataclass
@@ -218,6 +223,47 @@ def _reprs(values: np.ndarray) -> list[str]:
 # ---- ingestion -----------------------------------------------------------
 
 
+# An event stream as five parallel lists (ts, actor, kind, text, target),
+# one entry per valid event.
+_Columns = tuple[list, list, list, list, list]
+
+
+def _read_event_columns(path) -> tuple[_Columns, int]:
+    """The valid events of a JSONL file as columns, and the count of
+    malformed lines (see :func:`read_events_jsonl`)."""
+    decode = json.JSONDecoder().raw_decode
+    cols = [], [], [], [], []
+    add_ts, add_actor, add_kind, add_text, add_target = (c.append for c in cols)
+    bad = 0
+    with open(path, "rb") as fh:
+        for raw in fh:  # line by line: a whole-file read holds the file's text too
+            try:
+                line = raw.decode("utf-8").strip()  # UnicodeDecodeError is a ValueError
+                if not line:
+                    continue
+                obj, end = decode(line)
+                if end != len(line):
+                    raise ValueError("trailing data after the JSON value")
+                ts, actor, kind = int(obj["ts"]), str(obj["actor"]), str(obj["kind"])
+                text, target = obj.get("text"), obj.get("target")
+                _validate(ts, actor, kind, text, target)
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+                bad += 1
+                continue
+            add_ts(ts)
+            add_actor(actor)
+            add_kind(kind)
+            add_text(text)
+            add_target(target)
+    return cols, bad
+
+
+def _warn_malformed(bad: int) -> None:
+    """Warn of skipped records on behalf of the caller of this function's caller."""
+    if bad:
+        warnings.warn(f"skipped {bad} malformed event records", stacklevel=3)
+
+
 def read_events_jsonl(path) -> tuple[list[EventRecord], int]:
     """Parse a JSONL event file; malformed lines are skipped and counted.
 
@@ -226,26 +272,9 @@ def read_events_jsonl(path) -> tuple[list[EventRecord], int]:
     int64 integer, fails ``EventRecord.validate``, or is not UTF-8.  Lines
     end at a newline byte.
     """
-    decode = json.JSONDecoder().raw_decode
-    events, bad = [], 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                line = raw.decode("utf-8").strip()  # UnicodeDecodeError is a ValueError
-                if not line:
-                    continue
-                obj, end = decode(line)
-                if end != len(line):
-                    raise ValueError("trailing data after the JSON value")
-                rec = EventRecord(int(obj["ts"]), str(obj["actor"]), str(obj["kind"]),
-                                  obj.get("text"), obj.get("target"))
-                rec.validate()
-                events.append(rec)
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-                bad += 1
-    if bad:
-        warnings.warn(f"skipped {bad} malformed event records", stacklevel=2)
-    return events, bad
+    cols, bad = _read_event_columns(path)
+    _warn_malformed(bad)
+    return list(itertools.starmap(EventRecord, zip(*cols))), bad
 
 
 def _matches(text: Optional[str], keywords_lower: list[str]) -> bool:
@@ -260,30 +289,53 @@ def _pair_counts(agent: np.ndarray, bucket: np.ndarray, n: int, width: int) -> n
     return flat.reshape(n, width).astype(np.float64)
 
 
-def _count_events(events, kw, excl, window, step, n_steps, follows_from_start):
-    """Count validated events per (active agent, bucket), over columns.
-
-    Returns the sorted active agents, topical posts+reposts and topical
-    replies received per bucket (each n x T), and the follows of each agent
-    by the first bucket whose start is after them (n x T+1).  With
-    ``follows_from_start``, follows before the window start are dropped.
-    """
+def _n_steps(window: tuple[int, int], step: int) -> int:
     start, end = window
-    m = len(events)
-    ts = np.fromiter((e.ts for e in events), np.int64, m)
-    kind = np.fromiter((_KIND_CODE[e.kind] for e in events), np.int8, m)
-    actors = [e.actor for e in events]
-    excluded = {a for a in set(actors) if excl.search(a)} if excl else set()
+    if end <= start:
+        raise AspanelError("window must be nonempty")
+    if step <= 0 or (end - start) % step != 0:
+        raise AspanelError("step must divide the window into T >= 1 buckets")
+    return (end - start) // step
+
+
+def _count_events(cols: _Columns, topic_keywords, window, step, n_steps,
+                  follower_snapshot, cumulative, exclude_pattern):
+    """The feature panel of validated event columns (see :func:`ingest_events`),
+    and the counts of events by an excluded actor and of non-follow events
+    outside the window.
+
+    Events are counted per (active agent, bucket): topical posts+reposts,
+    topical replies received, and follows by the first bucket whose start is
+    after them.  With a follower snapshot, follows before the window start
+    are dropped.
+    """
+    kw = [k.lower() for k in topic_keywords]
+    excl = re.compile(exclude_pattern) if exclude_pattern else None
+    ts_list, actors, kinds, texts, targets = cols
+    start, end = window
+    m = len(ts_list)
+    ts = np.array(ts_list, dtype=np.int64)
+    kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, m)
     in_window = (ts >= start) & (ts < end)
 
-    active = sorted(set(itertools.compress(actors, in_window.tolist())) - excluded)
-    if not active:
+    # every actor by sorted name; code len(names) stands for a non-actor target
+    names = sorted(set(actors))
+    code = {a: i for i, a in enumerate(names)}
+    actor = np.fromiter(map(code.__getitem__, actors), np.int64, m)
+    target = np.fromiter(map(code.get, targets, itertools.repeat(len(names))), np.int64, m)
+    kept = np.ones(len(names), dtype=bool)
+    if excl:
+        kept[:] = [excl.search(a) is None for a in names]
+    keeps = kept[actor]  # per event: its actor is not excluded
+    active = np.zeros(len(names) + 1, dtype=bool)
+    active[actor[in_window & keeps]] = True
+    ids = list(itertools.compress(names, active.tolist()))
+    if not ids:
         raise EmptyPanelError("no active agents after filtering (empty panel)")
-    index = {a: i for i, a in enumerate(active)}
-    n = len(active)
-    # agent codes: -1 = not an active agent
-    actor = np.fromiter((index.get(a, -1) for a in actors), np.int64, m)
-    target = np.fromiter((index.get(e.target, -1) for e in events), np.int64, m)
+    n = len(ids)
+    # panel row per code, -1 for an agent that is not active
+    row = np.where(active, np.cumsum(active) - 1, -1)
+    actor_row, target_row = row[actor], row[target]
 
     # `pos` counts the bucket starts at or before each event, so an in-window
     # event falls in bucket pos - 1 and a follow counts from bucket pos on.
@@ -294,27 +346,36 @@ def _count_events(events, kw, excl, window, step, n_steps, follows_from_start):
     pos = np.searchsorted(bucket_starts, ts, side="right")
 
     def topical(rows: np.ndarray) -> np.ndarray:
-        return rows[np.array([_matches(events[j].text, kw) for j in rows.tolist()], dtype=bool)]
+        return rows[np.array([_matches(texts[j], kw) for j in rows.tolist()], dtype=bool)]
 
+    is_follow = kind == _KIND_CODE["follow"]
     is_post = (kind == _KIND_CODE["post"]) | (kind == _KIND_CODE["repost"])
-    posts = topical(np.flatnonzero(in_window & is_post & (actor >= 0)))
-    replies = topical(np.flatnonzero(in_window & (kind == _KIND_CODE["reply"]) & (target >= 0)))
+    posts = topical(np.flatnonzero(in_window & is_post & (actor_row >= 0)))
+    replies = topical(np.flatnonzero(in_window & (kind == _KIND_CODE["reply"]) & (target_row >= 0)))
 
     # follow events targeting an active agent from a kept actor; one at or
     # after the last bucket start lands in column T, which no bucket counts
-    follows = np.flatnonzero((kind == _KIND_CODE["follow"]) & (target >= 0))
-    if excluded:
-        follows = follows[np.array([actors[j] not in excluded for j in follows.tolist()],
-                                   dtype=bool)]
-    if follows_from_start:
+    follows = np.flatnonzero(is_follow & (target_row >= 0) & keeps)
+    if follower_snapshot is not None:
         follows = follows[ts[follows] >= start]
 
-    return (
-        active,
-        _pair_counts(actor[posts], pos[posts] - 1, n, n_steps),
-        _pair_counts(target[replies], pos[replies] - 1, n, n_steps),
-        _pair_counts(target[follows], pos[follows], n, n_steps + 1),
-    )
+    activity = _pair_counts(actor_row[posts], pos[posts] - 1, n, n_steps)
+    resonance = _pair_counts(target_row[replies], pos[replies] - 1, n, n_steps)
+    gained = _pair_counts(target_row[follows], pos[follows], n, n_steps + 1)
+    reach = np.cumsum(gained[:, :n_steps], axis=1)
+    if follower_snapshot is not None:
+        reach += np.array([follower_snapshot.get(a, 0) for a in ids], dtype=np.float64)[:, None]
+    if cumulative:
+        activity = np.cumsum(activity, axis=1)
+        resonance = np.cumsum(resonance, axis=1)
+
+    feats = np.empty((n, n_steps, 3))
+    feats[:, :, 0] = np.log1p(reach)
+    feats[:, :, 1] = np.log1p(activity)
+    feats[:, :, 2] = np.log1p(resonance)
+    counters = {"excluded": int(np.count_nonzero(~keeps)),
+                "out_of_window": int(np.count_nonzero(~in_window & ~is_follow))}
+    return FeaturePanel(feats, ids), counters
 
 
 def ingest_events(
@@ -334,40 +395,43 @@ def ingest_events(
     window start and pre-window follow events are ignored; otherwise
     followers accumulate from all observed follow events.
     """
-    start, end = window
-    if end <= start:
-        raise AspanelError("window must be nonempty")
-    if step <= 0 or (end - start) % step != 0:
-        raise AspanelError("step must divide the window into T >= 1 buckets")
-    n_steps = (end - start) // step
-
-    kw = [k.lower() for k in topic_keywords]
-    excl = re.compile(exclude_pattern) if exclude_pattern else None
-
-    events, bad = [], 0
+    n_steps = _n_steps(window, step)
+    valid, bad = [], 0
     for ev in stream:
         try:
             ev.validate()
-            events.append(ev)
         except ValueError:
             bad += 1
-    if bad:
-        warnings.warn(f"skipped {bad} malformed event records", stacklevel=2)
+            continue
+        valid.append(ev)
+    _warn_malformed(bad)
+    cols = tuple(map(list, zip(*valid))) if valid else ([], [], [], [], [])
+    return _count_events(cols, topic_keywords, window, step, n_steps,
+                         follower_snapshot, cumulative, exclude_pattern)[0]
 
-    active, activity, resonance, gained = _count_events(
-        events, kw, excl, window, step, n_steps, follower_snapshot is not None)
-    reach = np.cumsum(gained[:, :n_steps], axis=1)
-    if follower_snapshot is not None:
-        reach += np.array([follower_snapshot.get(a, 0) for a in active], dtype=np.float64)[:, None]
-    if cumulative:
-        activity = np.cumsum(activity, axis=1)
-        resonance = np.cumsum(resonance, axis=1)
 
-    feats = np.empty((len(active), n_steps, 3))
-    feats[:, :, 0] = np.log1p(reach)
-    feats[:, :, 1] = np.log1p(activity)
-    feats[:, :, 2] = np.log1p(resonance)
-    return FeaturePanel(feats, active)
+def ingest_jsonl(
+    path,
+    topic_keywords: Sequence[str],
+    window: tuple[int, int],
+    step: int,
+    follower_snapshot: Optional[dict[str, int]] = None,
+    cumulative: bool = False,
+    exclude_pattern: Optional[str] = None,
+) -> tuple[FeaturePanel, dict[str, int]]:
+    """:func:`read_events_jsonl` then :func:`ingest_events`, with each line
+    decoded and validated once and no :class:`EventRecord` built.
+
+    Returns the panel and its record counters: ``malformed`` lines,
+    ``records`` (valid events), ``excluded`` (valid events whose actor
+    matches ``exclude_pattern``) and ``out_of_window`` (valid non-follow
+    events outside the window).
+    """
+    cols, bad = _read_event_columns(path)
+    _warn_malformed(bad)
+    pn, counters = _count_events(cols, topic_keywords, window, step, _n_steps(window, step),
+                                 follower_snapshot, cumulative, exclude_pattern)
+    return pn, {"malformed": bad, "records": len(cols[0]), **counters}
 
 
 # ---- tier partitioning ---------------------------------------------------

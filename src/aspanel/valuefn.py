@@ -86,7 +86,7 @@ class Kind:
     # (params, z, z0): raises AspanelError where the straight path from the
     # resolved baseline z0 to z leaves the domain of f
     check_path: Callable = lambda p, z, z0: None
-    # coalition values under restrict semantics from a zero baseline: agent_stats
+    # coalition values under restrict semantics, which read no baseline: agent_stats
     # (params, z) runs once per game, and its stats feed mask_values(params,
     # stats, masks), v(C) for each row of an (m, n) boolean matrix, and
     # prefix_values(params, stats, perm), v(perm[:t]) for t = 1..n; v(empty) = 0
@@ -488,8 +488,7 @@ class ValueFunction:
 
     def agent_stats(self, z: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
         """Per-agent statistics from which :meth:`mask_values` and
-        :meth:`prefix_values` give v(C) under restrict semantics from a zero
-        baseline, or None when the kind has no such hooks; z as above."""
+        :meth:`prefix_values` give v(C) under restrict semantics, or None when the kind has no such hooks; z as above."""
         stats = self._spec.agent_stats
         return None if stats is None else stats(self.params, self._check(z))
 

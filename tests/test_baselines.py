@@ -106,6 +106,17 @@ class TestGameValues:
         game.value([0, 1])  # the patch does count scalar calls
         assert len(calls) == 1
 
+    def test_restrict_game_ignores_a_nonzero_baseline(self, abs_gaussian, monkeypatch):
+        # restrict semantics never read the baseline, so the hooks still serve it
+        z = abs_gaussian(6, seed=33)
+        zero = baselines.exact_shapley(CoalitionGame(valuefn.gini(), z))
+        calls = []
+        scalar = CoalitionGame.value
+        monkeypatch.setattr(CoalitionGame, "value", lambda game, c: calls.append(c) or scalar(game, c))
+        game = CoalitionGame(valuefn.gini(), z, baseline=np.ones(3))
+        assert np.array_equal(baselines.exact_shapley(game), zero)
+        assert calls == []
+
     @pytest.mark.parametrize("block", [1, 120, 1 << 16])
     def test_gini_prefix_blocks_match_scalar_path(self, block, rng, monkeypatch):
         # at n = 50: one row per block, two rows per block, one block

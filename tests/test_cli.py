@@ -75,7 +75,24 @@ class TestIngest:
             assert run(argv) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["argv"] == argv
-        assert manifest["ingest"] == {"malformed": 2, "records": 6, "agents": 3}
+        assert manifest["ingest"] == {"malformed": 2, "records": 6, "excluded": 0,
+                                      "out_of_window": 0, "agents": 3}
+
+    def test_manifest_counts_excluded_and_out_of_window(self, events_file, tmp_path):
+        with open(events_file, "a") as fh:
+            for ts, actor, kind in [(120, "bot1", "post"), (400, "bot1", "follow"),
+                                    (99, "alice", "post"), (300, "dave", "reply"),
+                                    (-5, "erin", "follow")]:
+                fh.write("\n" + json.dumps({"ts": ts, "actor": actor, "kind": kind,
+                                            "text": "solar", "target": "alice"}))
+        assert run(["ingest", str(events_file), "solar", "--exclude", "^(bot|u3)",
+                    "--window-start", "100", "--window-end", "300", "--step", "100",
+                    "--out", str(tmp_path / "panel.asp"), "--out-dir", str(tmp_path)]) == 0
+        counters = json.loads((tmp_path / "manifest.json").read_text())["ingest"]
+        # excluded: u3's follow and bot1's post and follow; out of window: the
+        # post at 99 and the reply at 300, not the follows at -5, 50 or 400
+        assert counters == {"malformed": 0, "records": 11, "excluded": 3,
+                            "out_of_window": 2, "agents": 3}
 
     def test_missing_events_is_usage_error(self, tmp_path):
         code = run(["ingest", str(tmp_path / "nope.jsonl"), "solar",

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import struct
+import tempfile
 import tracemalloc
 import warnings
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspanel import panel
+from aspanel import cli, panel
 from aspanel.errors import AspanelError, EmptyPanelError
 
 
@@ -288,6 +290,22 @@ def test_window_past_int64_edges(start):
     assert np.array_equal(pn.features, feats)
 
 
+MALFORMED_LINES = [
+    '{"ts": 100, "actor": "a", "kind": "post", "text": 5}',
+    '{"ts": 100, "actor": "a", "kind": "post", "text": ["solar"]}',
+    '{"ts": 100, "actor": "a", "kind": "reply", "text": "hi", "target": ["b"]}',
+    '{"ts": 100, "actor": "a", "kind": "follow", "target": {"id": "b"}}',
+    '{"ts": 9223372036854775808, "actor": "a", "kind": "post"}',
+    '{"ts": -9223372036854775809, "actor": "a", "kind": "post"}',
+    '{"ts": Infinity, "actor": "a", "kind": "post"}',
+    '{"ts": 100, "actor": "a", "kind": "post"} {"ts": 101}',
+    '{"ts": 100, "actor": "a", "kind": "post"}]',
+    '[100, "a", "post"]',
+    '"post"',
+    "[" * 100000 + "]" * 100000,
+]
+
+
 class TestJsonl:
     def test_round_trip_with_bad_lines(self, tmp_path):
         p = tmp_path / "events.jsonl"
@@ -304,20 +322,7 @@ class TestJsonl:
         assert bad == 2
         assert [e.actor for e in events] == ["a", "c"]
 
-    @pytest.mark.parametrize("line", [
-        '{"ts": 100, "actor": "a", "kind": "post", "text": 5}',
-        '{"ts": 100, "actor": "a", "kind": "post", "text": ["solar"]}',
-        '{"ts": 100, "actor": "a", "kind": "reply", "text": "hi", "target": ["b"]}',
-        '{"ts": 100, "actor": "a", "kind": "follow", "target": {"id": "b"}}',
-        '{"ts": 9223372036854775808, "actor": "a", "kind": "post"}',
-        '{"ts": -9223372036854775809, "actor": "a", "kind": "post"}',
-        '{"ts": Infinity, "actor": "a", "kind": "post"}',
-        '{"ts": 100, "actor": "a", "kind": "post"} {"ts": 101}',
-        '{"ts": 100, "actor": "a", "kind": "post"}]',
-        '[100, "a", "post"]',
-        '"post"',
-        "[" * 100000 + "]" * 100000,
-    ])
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_line_counted(self, tmp_path, line):
         p = tmp_path / "events.jsonl"
         good = json.dumps({"ts": 100, "actor": "g", "kind": "post", "text": "hi"})
@@ -371,6 +376,112 @@ class TestJsonl:
         events, bad = panel.read_events_jsonl(p)
         assert bad == 0
         assert events == [panel.EventRecord(7, "a", "post")]
+
+
+# ---- fuzz: the JSONL reader and the CLI against a per-line reference --------
+
+
+def reference_read(data: bytes):
+    """Reference for `read_events_jsonl`: one `json.loads` per newline-split line."""
+    events, bad = [], 0
+    for raw in data.split(b"\n"):
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            rec = panel.EventRecord(int(obj["ts"]), str(obj["actor"]), str(obj["kind"]),
+                                    obj.get("text"), obj.get("target"))
+            rec.validate()
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+            bad += 1
+            continue
+        events.append(rec)
+    return events, bad
+
+
+# lines that decode only when joined with their neighbours (see ROADMAP item 1)
+SPLIT_VALUE_LINES = [
+    '{"ts": 1, "actor": "a", "kind": "post", "z": [[1',
+    '2]]}',
+    '{"ts": 2, "actor": "b", "kind": "post"}, {"ts": 3, "actor": "c", "kind": "post"}',
+]
+
+
+@st.composite
+def event_objects(draw):
+    def mostly(usual, odd):
+        return draw(st.sampled_from(odd)) if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(usual))
+
+    obj = {
+        "ts": mostly([0, 99, 100, 150, 199], [-1, 200, 250, 1.9, True, "150"]),
+        "actor": mostly(AGENTS, [4, None, "", "a\nb", "b\ud800"]),
+        "kind": mostly(panel.EVENT_KINDS, ["like"]),
+    }
+    for key, values in (("text", [None, "Solar farm", "lunch", "GRID down", 5, "solar \ud800"]),
+                        ("target", [None, *AGENTS, "nobody", "", ["b"], "b\ud800"])):
+        if draw(st.booleans()):
+            obj[key] = draw(st.sampled_from(values))
+    depth = draw(st.sampled_from([0] * 6 + [50, 100000]))  # nested arrays, or none
+    if depth:
+        obj["z"] = None
+    text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    return text.replace('"z": null', '"z": ' + "[" * depth + "]" * depth)
+
+
+@st.composite
+def jsonl_lines(draw):
+    body = draw(st.one_of(
+        event_objects(), event_objects(), event_objects(),
+        st.sampled_from(MALFORMED_LINES + SPLIT_VALUE_LINES + ["", "not json", "{}"]),
+    ))
+    pad = st.sampled_from(["", " ", "\t", "\xa0", "\u3000", "\u2028", "\x1c"])
+    line = (draw(pad) + body + draw(pad)).encode("utf-8", "surrogatepass")  # lone surrogates too
+    if draw(st.integers(0, 9)) == 0:
+        line = line.replace(b'"', b'"\xff', 1)  # not UTF-8
+    return line + draw(st.sampled_from([b"\n", b"\r\n"]))
+
+
+@given(lines=st.lists(jsonl_lines(), max_size=25), exclude=st.sampled_from([None, "^bo"]))
+@settings(max_examples=120, deadline=None)
+def test_reader_and_cli_agree_with_per_line_reference(lines, exclude):
+    data = b"".join(lines)
+    expected, expected_bad = reference_read(data)
+    window = ["--window-start", "0", "--window-end", "200", "--step", "100"]
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "events.jsonl")
+        with open(src, "wb") as fh:
+            fh.write(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            events, bad = panel.read_events_jsonl(src)
+        assert events == expected and bad == expected_bad
+        assert [(str(w.message), w.filename) for w in caught] == (
+            [(f"skipped {bad} malformed event records", __file__)] if bad else [])
+        try:
+            lib = panel.ingest_events(events, ["solar", "grid"], (0, 200), 100,
+                                      exclude_pattern=exclude)
+        except EmptyPanelError:
+            lib = None
+
+        out = os.path.join(tmp, "cli.asp")
+        argv = ["ingest", src, "solar,grid", *window, "--out", out, "--out-dir", tmp]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv + (["--exclude", exclude] if exclude else []))
+        # one warning, attributed to the CLI code that reads the file
+        assert [(str(w.message), w.filename) for w in caught] == (
+            [(f"skipped {bad} malformed event records", cli.__file__)] if bad else [])
+        if lib is None:
+            assert code == 1
+            return
+        assert code == 0
+        lib.save(os.path.join(tmp, "lib.asp"))
+        with open(out, "rb") as a, open(os.path.join(tmp, "lib.asp"), "rb") as b:
+            assert a.read() == b.read()
+        with open(os.path.join(tmp, "manifest.json")) as fh:
+            counters = json.load(fh)["ingest"]
+        assert (counters["malformed"], counters["records"]) == (bad, len(events))
 
 
 class TestPanelContainer:
