@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AspanelError, DegenerateChangeError, NonzeroBaselineError
 from .panel import FeaturePanel, TierPartition
-from .valuefn import ValueFunction, _as_features, as_baseline
+from .valuefn import ValueFunction, _as_features
 
 DEFAULT_K = 30
 DEGENERATE_TOL = 1e-12
@@ -61,22 +61,36 @@ class BaselineSpec:
         )
 
 
-def _resolve_baseline(baseline, features, first_step=None) -> np.ndarray:
+def _resolve_baseline(baseline, z: np.ndarray, first_step=None, n=None) -> np.ndarray:
+    """The one resolution of a baseline (None for zero, a BaselineSpec or an
+    array) against n x D features: a length-D row when every agent shares it
+    (an all-zero baseline included), else the n x D array.  A population_mean
+    averages the rows of z, which are all T steps of a panel when ``n`` gives
+    the agent count; first_step is the step-0 slice."""
+    n, D = (len(z) if n is None else n), z.shape[1]
     if baseline is None:
-        baseline = BaselineSpec("zero")
+        return np.zeros(D)
     if isinstance(baseline, BaselineSpec):
-        return baseline.resolve(features, first_step)
-    arr = np.asarray(baseline, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise AspanelError("baseline contains non-finite values")
-    return arr
+        z0 = baseline.resolve(z, first_step)
+    else:
+        z0 = np.asarray(baseline, dtype=np.float64)
+        if not np.all(np.isfinite(z0)):
+            raise AspanelError("baseline contains non-finite values")
+    try:
+        if z0.ndim < 2 or z0.shape[0] == 1:
+            return np.broadcast_to(z0, (1, D))[0]
+        full = np.broadcast_to(z0, (n, D))
+    except ValueError:
+        raise AspanelError(
+            f"baseline of shape {z0.shape} does not fit {n} agents x {D} dims") from None
+    return full if full.any() else np.zeros(D)
 
 
 @dataclass(frozen=True)
 class AttributionResult:
     phi: np.ndarray
     delta_v: float
-    baseline: np.ndarray
+    baseline: np.ndarray  # a length-D row every agent shares (zero included), else n x D
     method: dict
     normalized: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
@@ -93,52 +107,40 @@ def _result(phi, delta_v, z0, method, **meta) -> AttributionResult:
     return AttributionResult(
         phi=np.asarray(phi, dtype=np.float64),
         delta_v=float(delta_v),
-        baseline=np.asarray(z0, dtype=np.float64),
+        baseline=z0,
         method=method,
         metadata=meta,
     )
 
 
-# ---- closed forms ----------------------------------------------------------
+# ---- the engine --------------------------------------------------------------
+
+
+def attribute(
+    f: ValueFunction,
+    features,
+    baseline=None,
+    method: str = "auto",
+    K: int = DEFAULT_K,
+    seed: Optional[int] = None,
+) -> AttributionResult:
+    """Aumann-Shapley attribution of f from the baseline to the features.
+
+    ``auto`` takes the kind's closed form when it covers the baseline (see
+    :meth:`ValueFunction.covers`), else the K-point midpoint rule;
+    ``analytic`` is the closed form at the zero baseline only; ``midpoint``
+    and ``permuted_path`` are the linear and the permuted midpoint paths.
+    """
+    z = _as_features(features)
+    return _attribute(f, z, _resolve_baseline(baseline, z), method, K, seed)
 
 
 def attribute_analytic(f: ValueFunction, features, baseline=None) -> AttributionResult:
-    """Closed-form attribution for the kinds that declare one, zero baseline.
-
-    A nonzero baseline goes through :func:`attribute`, which takes the
-    closed form where the kind covers that baseline, or through
-    :func:`attribute_path_integral`.
-    """
-    z = _as_features(features)
-    return _analytic(f, z, _resolve_baseline(baseline, z))
+    """:func:`attribute` with ``method="analytic"``: the closed form, zero baseline."""
+    return attribute(f, features, baseline, "analytic")
 
 
-def _analytic(f: ValueFunction, z: np.ndarray, z0: np.ndarray) -> AttributionResult:
-    """attribute_analytic on an array _as_features accepted and a resolved baseline."""
-    if not f.has_closed_form:
-        raise AspanelError(f"no closed form for kind {f.kind!r}; use the midpoint engine")
-    if np.any(z0 != 0.0):
-        raise NonzeroBaselineError(
-            "attribute_analytic takes the zero baseline only; "
-            "use attribute or attribute_path_integral"
-        )
-    return _closed(f, z, z0, as_baseline(z0, z.shape))
-
-
-def _closed(f: ValueFunction, z: np.ndarray, z0: np.ndarray, row: np.ndarray) -> AttributionResult:
-    """The kind's closed form from the resolved baseline z0, which
-    :func:`as_baseline` turned into ``row``; the method names the path."""
-    phi, delta, meta = f.closed_form(z, row)
-    if row.ndim == 2:
-        method = {"name": "closed_form", "baseline": "per_agent", "f": f.kind}
-    elif row.any():
-        method = {"name": "closed_form", "baseline": "shared_row", "f": f.kind}
-    else:
-        method = {"name": "analytic", "f": f.kind}
-    return _result(phi, delta, z0, method, **meta)
-
-
-# ---- midpoint quadrature ----------------------------------------------------
+_PATHS = {"linear": "midpoint", "permuted": "permuted_path"}
 
 
 def attribute_path_integral(
@@ -149,35 +151,62 @@ def attribute_path_integral(
     path: str = "linear",
     seed: Optional[int] = None,
 ) -> AttributionResult:
-    """K-point midpoint quadrature of the gradient along the fade-in path.
+    """:func:`attribute` through the K-point midpoint rule along the fade-in path.
 
     ``path='linear'`` fades all agents together (the default and the method
     of record); ``path='permuted'`` fades agents one at a time in a
     seed-determined order, with K midpoints per leg (ablation only).
     """
-    z = _as_features(features)
-    return _path_integral(f, z, _resolve_baseline(baseline, z), K, path, seed)
+    if path not in _PATHS:
+        raise AspanelError(f"unknown path {path!r}")
+    return attribute(f, features, baseline, _PATHS[path], K, seed)
 
 
-def _path_integral(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, path: str,
-                   seed: Optional[int]) -> AttributionResult:
-    """attribute_path_integral on an array _as_features accepted and a resolved baseline."""
+def _attribute(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: int,
+               seed: Optional[int]) -> AttributionResult:
+    """attribute on an array _as_features accepted and a baseline _resolve_baseline returned."""
+    if method not in ("auto", "analytic", "midpoint", "permuted_path"):
+        raise AspanelError(f"unknown method {method!r}")
+    if method == "analytic":
+        if not f.has_closed_form:
+            raise AspanelError(f"no closed form for kind {f.kind!r}; use the midpoint engine")
+        if z0.any():
+            raise NonzeroBaselineError(
+                "attribute_analytic takes the zero baseline only; "
+                "use attribute or attribute_path_integral"
+            )
+    elif method != "auto" or not f.covers(z0):
+        return _midpoint(f, z, z0, K, method == "permuted_path", seed)
+    # analytic from zero, or auto where the closed form covers z0
+    phi, delta, meta = f.closed_form(z, z0)
+    if z0.ndim == 2:
+        named = {"name": "closed_form", "baseline": "per_agent", "f": f.kind}
+    elif z0.any():
+        named = {"name": "closed_form", "baseline": "shared_row", "f": f.kind}
+    else:
+        named = {"name": "analytic", "f": f.kind}
+    return _result(phi, delta, z0, named, **meta)
+
+
+def _midpoint(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, permuted: bool,
+              seed: Optional[int]) -> AttributionResult:
+    """K-point midpoint quadrature of the gradient from z0 to z: all agents
+    fade in together, or with ``permuted`` one at a time in a seeded order."""
     if K < 1:
         raise AspanelError("K must be a positive integer")
     n, D = z.shape
-    row = as_baseline(z0, z.shape)
-    z0_full = np.broadcast_to(row, z.shape)
+    z0_full = np.broadcast_to(z0, z.shape)
     delta = z - z0_full
 
-    if path == "linear":
-        f.check_path(z, row)
+    if not permuted:
+        f.check_path(z, z0)
         acc = np.zeros_like(z)
         for k in range(1, K + 1):
             tau = (k - 0.5) / K
             acc += f.gradient(z0_full + tau * delta)
         phi = (delta * acc / K).sum(axis=1)
         method = {"name": "midpoint", "K": K, "f": f.kind}
-    elif path == "permuted":
+    else:
         rng = np.random.default_rng(seed)
         order = rng.permutation(n)
         state = np.array(z0_full, dtype=np.float64)
@@ -195,40 +224,9 @@ def _path_integral(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, path
             state[i] = z[i]
             phi[i] = float(delta[i] @ (acc_i / K))
         method = {"name": "permuted_path", "K": K, "seed": seed, "f": f.kind}
-    else:
-        raise AspanelError(f"unknown path {path!r}")
 
     dv = f.evaluate(z) - f.evaluate(z0_full)
     return _result(phi, dv, z0, method)
-
-
-def attribute(
-    f: ValueFunction,
-    features,
-    baseline=None,
-    method: str = "auto",
-    K: int = DEFAULT_K,
-    seed: Optional[int] = None,
-) -> AttributionResult:
-    """Dispatch: under ``auto``, the closed form when the kind covers the
-    baseline (see :meth:`ValueFunction.covers`), else the midpoint rule."""
-    z = _as_features(features)
-    return _dispatch(f, z, _resolve_baseline(baseline, z), method, K, seed)
-
-
-def _dispatch(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: int,
-              seed: Optional[int]) -> AttributionResult:
-    """attribute on an array _as_features accepted and a resolved baseline."""
-    if method not in ("auto", "analytic", "midpoint", "permuted_path"):
-        raise AspanelError(f"unknown method {method!r}")
-    if method == "analytic":
-        return _analytic(f, z, z0)
-    if method == "auto":
-        row = as_baseline(z0, z.shape)
-        if f.covers(row):
-            return _closed(f, z, z0, row)
-    path = "permuted" if method == "permuted_path" else "linear"
-    return _path_integral(f, z, z0, K, path, seed)
 
 
 # ---- normalization and aggregation -----------------------------------------
@@ -247,7 +245,7 @@ def normalize(result: AttributionResult) -> AttributionResult:
 class TemporalAttributionResult:
     phi: np.ndarray  # (n_agents, n_steps)
     delta_v: np.ndarray  # (n_steps,)
-    baseline: np.ndarray
+    baseline: np.ndarray  # as in AttributionResult, shared by every step
     method: dict
 
     def agent_totals(self) -> np.ndarray:
@@ -273,17 +271,18 @@ def attribute_temporal(
 ) -> TemporalAttributionResult:
     """Independent per-step attribution over a feature panel.
 
-    The panel already holds a finite float64 tensor, so its steps go to the
-    engines without another finiteness scan.
+    The baseline is resolved once for all steps.  The panel already holds a
+    finite float64 tensor, so its steps go to the engine without another
+    finiteness scan.
     """
     n, T, D = panel.features.shape
     # population_mean is the panel-wide mean; first_step is the step-0 slice
-    base = _resolve_baseline(baseline, panel.features.reshape(-1, D), panel.step_slice(0))
+    base = _resolve_baseline(baseline, panel.features.reshape(-1, D), panel.step_slice(0), n)
     phi = np.empty((n, T))
     dv = np.empty(T)
     last_method = {}
     for t in range(T):
-        res = _dispatch(f, panel.step_slice(t), base, method, K, None)
+        res = _attribute(f, panel.step_slice(t), base, method, K, None)
         phi[:, t] = res.phi
         dv[t] = res.delta_v
         last_method = res.method

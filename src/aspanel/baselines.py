@@ -15,7 +15,7 @@ all-baseline configuration with a zero baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -98,49 +98,41 @@ def leave_one_out(game: CoalitionGame) -> np.ndarray:
 # ---- exact enumeration -----------------------------------------------------
 
 
-def _all_subset_values(game: CoalitionGame) -> np.ndarray:
-    """v for every bitmask coalition, index = bitmask over agents."""
+def _exact(game: CoalitionGame, what: str, weight: Callable[[int], np.ndarray]) -> np.ndarray:
+    """phi_i = sum over coalitions S without i of w[|S|] (v(S + i) - v(S)),
+    w = weight(n), from v of all 2^n coalitions (row index = bitmask over agents)."""
     n = game.n
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-    return game.mask_values(bits)
-
-
-def _guard(game: CoalitionGame, what: str) -> None:
-    if game.n > EXACT_GUARD:
+    if n > EXACT_GUARD:
         raise InfeasibleError(
-            f"exact {what} is infeasible for n={game.n} (> {EXACT_GUARD}): 2^n enumeration"
+            f"exact {what} is infeasible for n={n} (> {EXACT_GUARD}): 2^n enumeration"
         )
+    w = weight(n)
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    vals = game.mask_values(bits)
+    sizes = bits.sum(axis=1)
+    phi = np.zeros(n)
+    for i in range(n):
+        without = np.flatnonzero(~bits[:, i])
+        phi[i] = float(np.sum(w[sizes[without]] * (vals[without | 1 << i] - vals[without])))
+    return phi
 
 
-def exact_shapley(game: CoalitionGame) -> np.ndarray:
-    _guard(game, "Shapley")
-    n = game.n
-    vals = _all_subset_values(game)
-    # weight by coalition size: |C|! (n-|C|-1)! / n!
+def _shapley_weights(n: int) -> np.ndarray:
+    """|S|! (n - |S| - 1)! / n! for |S| = 0..n-1."""
     fact = [1.0] * (n + 1)
     for k in range(2, n + 1):
         fact[k] = fact[k - 1] * k
-    w = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
-    phi = np.zeros(n)
-    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
-    for i in range(n):
-        bit = 1 << i
-        without = np.flatnonzero(~((np.arange(1 << n) & bit).astype(bool)))
-        s = sizes[without]
-        phi[i] = float(np.sum(np.array(w)[s] * (vals[without | bit] - vals[without])))
-    return phi
+    return np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
+
+
+def exact_shapley(game: CoalitionGame) -> np.ndarray:
+    return _exact(game, "Shapley", _shapley_weights)
 
 
 def exact_banzhaf(game: CoalitionGame) -> np.ndarray:
-    _guard(game, "Banzhaf")
-    n = game.n
-    vals = _all_subset_values(game)
-    phi = np.zeros(n)
-    for i in range(n):
-        bit = 1 << i
-        without = np.flatnonzero(~((np.arange(1 << n) & bit).astype(bool)))
-        phi[i] = float(np.mean(vals[without | bit] - vals[without]))
-    return phi
+    # each coalition of the others weighs 1 / 2^(n-1), a power of two, so the
+    # weighted sum equals the mean of the marginals bit for bit
+    return _exact(game, "Banzhaf", lambda n: np.full(n, 0.5 ** (n - 1)))
 
 
 # ---- Monte Carlo estimators -------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -107,9 +108,13 @@ def cmd_ingest(args) -> int:
     keywords = _split(Path(args.topics).read_text()) if Path(args.topics).exists() else _split(args.topics)
     snapshot = None
     if args.follower_snapshot:
-        snapshot = {
-            k: int(v) for k, v in json.loads(Path(args.follower_snapshot).read_text()).items()
-        }
+        try:
+            snapshot = {
+                k: int(v) for k, v in json.loads(Path(args.follower_snapshot).read_text()).items()
+            }
+        except (ValueError, TypeError, OverflowError, AttributeError) as exc:
+            raise AspanelError(f"{args.follower_snapshot}: not a JSON object of integer "
+                               f"follower counts ({exc})") from None
     pn, counters = panel.ingest_jsonl(
         args.events,
         keywords,
@@ -397,6 +402,11 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         if _CLI_KINDS.get(getattr(args, "f", None)) and not args.weights:
             ap.error(f"--f {args.f} requires --weights")
+        if getattr(args, "exclude", None):
+            try:
+                re.compile(args.exclude)
+            except re.error as exc:
+                ap.error(f"--exclude {args.exclude!r} is not a valid regex ({exc})")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.argv = argv

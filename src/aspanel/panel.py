@@ -69,14 +69,12 @@ class EventRecord(NamedTuple):
 class FeaturePanel:
     """Immutable N x T x D feature tensor with agent identities.
 
-    All entries must be finite; entries must be nonnegative unless
-    ``allow_negative`` is set (used only by the raw synthetic benchmark path).
+    All entries must be finite and nonnegative.
     """
 
     features: np.ndarray
     agent_ids: list[str]
     dim_names: tuple[str, ...] = DEFAULT_DIM_NAMES
-    allow_negative: bool = False
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -86,7 +84,7 @@ class FeaturePanel:
             raise EmptyPanelError("panel has no agents")
         if not np.all(np.isfinite(feats)):
             raise AspanelError("panel contains non-finite values")
-        if not self.allow_negative and np.any(feats < 0):
+        if np.any(feats < 0):
             raise AspanelError("panel contains negative values")
         if len(self.agent_ids) != feats.shape[0]:
             raise AspanelError("agent_ids length must match the agent axis")
@@ -143,8 +141,7 @@ class FeaturePanel:
             fh.write(id_block)
 
     @classmethod
-    def load(cls, path, dim_names: Sequence[str] = DEFAULT_DIM_NAMES,
-             allow_negative: bool = False) -> "FeaturePanel":
+    def load(cls, path, dim_names: Sequence[str] = DEFAULT_DIM_NAMES) -> "FeaturePanel":
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
                 raise AspanelError(f"{path}: not an ASP1 panel file")
@@ -165,7 +162,7 @@ class FeaturePanel:
         if len(ids) != n:
             raise AspanelError(f"{path}: agent id count {len(ids)} != header N={n}")
         names = tuple(dim_names) if len(dim_names) == d else tuple(f"dim{k}" for k in range(d))
-        return cls(feats, ids, names, allow_negative=allow_negative)
+        return cls(feats, ids, names)
 
     def to_csv(self, path) -> None:
         """Agent-major rows ``agent_id,step,<dims>``, floats as ``repr``."""
@@ -310,7 +307,10 @@ def _count_events(cols: _Columns, topic_keywords, window, step, n_steps,
     are dropped.
     """
     kw = [k.lower() for k in topic_keywords]
-    excl = re.compile(exclude_pattern) if exclude_pattern else None
+    try:
+        excl = re.compile(exclude_pattern) if exclude_pattern else None
+    except re.error as exc:
+        raise AspanelError(f"exclude pattern {exclude_pattern!r} is not a valid regex ({exc})") from None
     ts_list, actors, kinds, texts, targets = cols
     start, end = window
     m = len(ts_list)
@@ -527,24 +527,14 @@ class SyntheticPanelSpec:
             raise AspanelError("pareto_alpha must exceed 1 (finite mean)")
 
 
-def generate_synthetic(spec: SyntheticPanelSpec, raw: bool = False):
-    """Deterministic synthetic panel from a spec.
-
-    With ``raw=True`` the untransformed draws are returned as a plain array
-    (the uniform law keeps its +/-1 support); this path feeds the synthetic
-    benchmark, which deliberately bypasses the nonnegativity invariant.
-    """
+def generate_synthetic(spec: SyntheticPanelSpec) -> FeaturePanel:
+    """Deterministic synthetic panel from a spec."""
     rng = np.random.default_rng(spec.seed)
     shape = (spec.n_agents, spec.n_steps, spec.n_dims)
     if spec.feature_law == "uniform_pm1":
-        draws = rng.uniform(-1.0, 1.0, shape)
-        if raw:
-            return draws
-        feats = (draws + 1.0) / 2.0
+        feats = (rng.uniform(-1.0, 1.0, shape) + 1.0) / 2.0
     elif spec.feature_law == "abs_gaussian":
         feats = np.abs(rng.standard_normal(shape))
-        if raw:
-            return feats
     else:  # pareto_reach
         reach_raw = 1.0 + rng.pareto(spec.pareto_alpha, (spec.n_agents, spec.n_steps))
         feats = np.empty(shape)
@@ -552,7 +542,5 @@ def generate_synthetic(spec: SyntheticPanelSpec, raw: bool = False):
         for d in range(1, spec.n_dims):
             noise = np.abs(rng.standard_normal((spec.n_agents, spec.n_steps)))
             feats[:, :, d] = np.log1p(reach_raw**spec.reach_coupling * noise)
-        if raw:
-            return feats
     ids = [f"a{i:08d}" for i in range(spec.n_agents)]
     return FeaturePanel(feats, ids)

@@ -7,7 +7,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats
@@ -231,10 +231,9 @@ def deletion_faithfulness(
     f: ValueFunction,
     attribution_ranking: Sequence[int],
     k_max: int,
-    baseline_action: Optional[np.ndarray] = None,
 ) -> dict:
-    """Replace top-k ranked agents' features at the post-midpoint peak step
-    with a baseline action and record the normalized macro drop.
+    """Zero the top-k ranked agents' features at the post-midpoint peak step
+    and record the macro drop, normalized by the drop to the zero baseline.
 
     The target step is the argmax of f over the second half of the window.
     AUC is the mean drop over k = 1..k_max; a negative drop (f rising after
@@ -248,16 +247,15 @@ def deletion_faithfulness(
     step_vals = [f.evaluate(panel.features[:, t, :]) for t in range(half, T)]
     t_star = half + int(np.argmax(step_vals))
     z = panel.features[:, t_star, :]
-    base_row = attribution._resolve_baseline(baseline_action, z)
     v_full = f.evaluate(z)
-    v_base = f.evaluate(np.broadcast_to(base_row, z.shape))
+    v_base = f.evaluate(np.zeros_like(z))
     denom = v_full - v_base
     if denom == 0.0:
         raise DegenerateChangeError("macro indicator equals its baseline value at the peak step")
     drops = {}
     work = z.copy()
     for k in range(1, k_max + 1):
-        work[ranking[k - 1]] = base_row
+        work[ranking[k - 1]] = 0.0
         drops[k] = (v_full - f.evaluate(work)) / denom
     return {"auc": float(np.mean(list(drops.values()))), "drop_at": drops, "t_star": t_star}
 
@@ -335,11 +333,10 @@ def bench_scaling(
     methods: Sequence[str] = BENCH_METHODS,
     m_samples: int = 1000,
     repeats: int = 3,
-    n_dims: int = 3,
     seed: int = 0,
-    feature_gen: Optional[Callable[[int, int], np.ndarray]] = None,
 ) -> list[dict]:
-    """Median-of-repeats wall clock per (size, method) cell.
+    """Median-of-repeats wall clock per (size, method) cell on |N(0, 1)|
+    features with three dims.
 
     Timing excludes feature generation and I/O; exact methods above the
     enumeration guard are marked infeasible.  Sizes must be ascending.
@@ -352,11 +349,7 @@ def bench_scaling(
     rng = np.random.default_rng(seed)
     rows = []
     for n in sizes:
-        z = (
-            feature_gen(n, n_dims)
-            if feature_gen is not None
-            else np.abs(rng.standard_normal((n, n_dims)))
-        )
+        z = np.abs(rng.standard_normal((n, 3)))
         for method in methods:
             try:
                 run = _bench_once(method, f, z, m_samples, seed)

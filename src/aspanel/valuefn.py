@@ -45,21 +45,6 @@ def _as_features(z) -> np.ndarray:
     return z
 
 
-def as_baseline(z0, shape) -> np.ndarray:
-    """A resolved baseline against n x D features: one length-D row when every
-    agent shares it (an all-zero baseline included), else the n x D array."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    n, D = shape
-    try:
-        if z0.ndim < 2 or z0.shape[0] == 1:
-            return np.broadcast_to(z0, (1, D))[0]
-        full = np.broadcast_to(z0, shape)
-    except ValueError:
-        raise AspanelError(
-            f"baseline of shape {z0.shape} does not fit {n} agents x {D} dims") from None
-    return full if full.any() else np.zeros(D)
-
-
 def gini_ranks(g: np.ndarray) -> tuple[np.ndarray, bool]:
     """1-based ascending ranks of g, ties given their average (mid) rank.
 
@@ -80,7 +65,8 @@ class Kind:
     evaluate: Callable
     gradient: Callable
     # (params, z, z0) -> (phi, delta_v, metadata): the exact path integral from
-    # z0, a length-D row shared by every agent or an n x D array (as_baseline)
+    # z0, a length-D row shared by every agent or an n x D array, as
+    # attribution._resolve_baseline returns it
     closed_form: Optional[Callable] = None
     covers: str = "any"  # baselines closed_form integrates: "any" | "shared_row"
     # (params, z, z0): raises AspanelError where the straight path from the
@@ -470,19 +456,19 @@ class ValueFunction:
         return self._spec.gradient(self.params, self._check(_as_features(features)))
 
     def closed_form(self, z: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, float, dict]:
-        """(phi, delta_v, metadata) of the path integral from baseline z0, as
-        :func:`as_baseline` returns it; z is an array that :func:`_as_features`
-        accepted."""
+        """(phi, delta_v, metadata) of the path integral from baseline z0, a
+        resolved baseline (see :class:`Kind`); z is an array that
+        :func:`_as_features` accepted."""
         return self._spec.closed_form(self.params, self._check(z), z0)
 
     def check_path(self, z: np.ndarray, z0: np.ndarray) -> None:
-        """Raise AspanelError where the straight path from baseline z0, as
-        :func:`as_baseline` returns it, to z leaves the domain of f."""
+        """Raise AspanelError where the straight path from the resolved
+        baseline z0 to z leaves the domain of f."""
         self._spec.check_path(self.params, z, z0)
 
     def covers(self, z0: np.ndarray) -> bool:
-        """The kind has a closed form from baseline z0, as :func:`as_baseline`
-        returns it: a shared row or, for most kinds, a per-agent array."""
+        """The kind has a closed form from the resolved baseline z0: a shared
+        row or, for most kinds, a per-agent array."""
         spec = self._spec
         return spec.closed_form is not None and (spec.covers == "any" or z0.ndim == 1)
 

@@ -157,11 +157,15 @@ class TestMidpoint:
     @pytest.mark.parametrize("engine", [
         lambda f, z, z0: attribution.attribute(f, z, z0, method="midpoint"),
         attribution.attribute_path_integral,
-    ], ids=["attribute_midpoint", "attribute_path_integral"])
+        lambda f, z, z0: attribution.attribute(f, z, z0, method="analytic"),
+        attribution.attribute_analytic,
+    ], ids=["attribute_midpoint", "attribute_path_integral", "attribute_analytic_method",
+            "attribute_analytic"])
     def test_baseline_that_does_not_fit_rejected(self, engine):
-        f = valuefn.softplus_aggregator(np.ones((4, 3)))
+        # the baseline is resolved before any method runs, so under analytic
+        # a misfit is reported before the nonzero baseline is
         with pytest.raises(AspanelError, match="does not fit 4 agents x 3 dims"):
-            engine(f, np.ones((4, 3)), np.ones((2, 3)))
+            engine(valuefn.linear_mean(), np.ones((4, 3)), np.ones((2, 3)))
 
 
 class TestAxioms:
@@ -472,6 +476,23 @@ class TestTemporal:
             assert np.array_equal(res.phi[:, t], single.phi)
             assert res.delta_v[t] == single.delta_v
         assert len(calls) == pn.n_steps
+
+    @pytest.mark.parametrize("step0,shape,method", [
+        (0.0, (3,), {"name": "analytic", "f": "var"}),
+        (1.0, (6, 3), {"name": "closed_form", "baseline": "per_agent", "f": "var"}),
+    ], ids=["zero_first_step", "nonzero_first_step"])
+    def test_result_holds_the_resolved_baseline(self, step0, shape, method):
+        # the result holds the baseline as every step's engine takes it: an
+        # all-zero first step is the zero row, any other one stays n x D
+        feats = np.abs(np.random.default_rng(1).standard_normal((6, 4, 3)))
+        feats[:, 0] = step0
+        pn = panel.FeaturePanel(feats, [f"u{i}" for i in range(6)])
+        res = attribution.attribute_temporal(valuefn.variance(), pn, BaselineSpec("first_step"))
+        assert res.baseline.shape == shape
+        assert res.method == method
+        for t in range(pn.n_steps):
+            single = attribution.attribute(valuefn.variance(), pn.step_slice(t), feats[:, 0])
+            assert np.array_equal(res.phi[:, t], single.phi)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(AspanelError, match="unknown method"):

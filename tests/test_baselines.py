@@ -73,6 +73,12 @@ class TestGameValues:
         game = CoalitionGame(valuefn.additive(W), z)
         assert game.value([0, 2]) == pytest.approx(np.sum(W[[0, 2]] * z[[0, 2]]))
 
+    @pytest.mark.parametrize("semantics", ["restrict", "pin"])
+    def test_baseline_that_does_not_fit_rejected(self, semantics):
+        with pytest.raises(AspanelError, match="does not fit 4 agents x 3 dims"):
+            CoalitionGame(valuefn.linear_mean(), np.ones((4, 3)), semantics=semantics,
+                          baseline=np.ones((2, 3)))
+
     def test_bad_semantics(self):
         with pytest.raises(AspanelError):
             CoalitionGame(valuefn.heat(), np.ones((2, 3)), semantics="glue")

@@ -100,6 +100,35 @@ class TestIngest:
                     "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_bad_exclude_regex_is_usage_error(self, events_file, tmp_path, capsys):
+        code = run(["ingest", str(events_file), "solar", "--exclude", "(",
+                    "--window-start", "100", "--window-end", "300", "--step", "100",
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--exclude" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("text", ['{"a": "x"}', "[1, 2]", "{not json", '{"a": Infinity}'],
+                             ids=["value_not_int", "not_an_object", "invalid_json", "infinite"])
+    def test_bad_follower_snapshot_is_data_error(self, events_file, tmp_path, capsys, text):
+        snap = tmp_path / "snap.json"
+        snap.write_text(text)
+        code = run(["ingest", str(events_file), "solar", "--follower-snapshot", str(snap),
+                    "--window-start", "100", "--window-end", "300", "--step", "100",
+                    "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert str(snap) in capsys.readouterr().err
+
+    def test_follower_snapshot_takes_what_int_accepts(self, events_file, tmp_path):
+        snap = tmp_path / "snap.json"
+        snap.write_text('{"alice": "10", "bob": 2.0, "carol": true}')
+        out = tmp_path / "panel.asp"
+        assert run(["ingest", str(events_file), "solar", "--follower-snapshot", str(snap),
+                    "--window-start", "100", "--window-end", "300", "--step", "100",
+                    "--out", str(out), "--out-dir", str(tmp_path)]) == 0
+        pn = panel.FeaturePanel.load(out)
+        assert pn.features[pn.agent_ids.index("alice"), 0, 0] == pytest.approx(np.log1p(10))
+
     def test_empty_panel_is_data_error(self, events_file, tmp_path):
         code = run(["ingest", str(events_file), "solar",
                     "--window-start", "5000", "--window-end", "5100", "--step", "100",

@@ -148,6 +148,14 @@ class TestIngest:
                                  exclude_pattern="^bob$")
         assert "bob" not in pn.agent_ids
 
+    def test_bad_exclude_pattern_raises(self, tmp_path):
+        with pytest.raises(AspanelError, match="exclude pattern"):
+            panel.ingest_events(make_events(), ["solar"], (100, 300), 100, exclude_pattern="(")
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"ts": 100, "actor": "alice", "kind": "post", "text": "solar"}\n')
+        with pytest.raises(AspanelError, match="exclude pattern"):
+            panel.ingest_jsonl(path, ["solar"], (100, 300), 100, exclude_pattern="(")
+
     def test_empty_window_raises(self):
         with pytest.raises(EmptyPanelError):
             panel.ingest_events(make_events(), ["solar"], (1000, 1200), 100)
@@ -610,8 +618,6 @@ class TestSynthetic:
         spec = panel.SyntheticPanelSpec(100, feature_law="uniform_pm1", seed=1)
         pn = panel.generate_synthetic(spec)
         assert pn.features.min() >= 0.0 and pn.features.max() <= 1.0
-        raw = panel.generate_synthetic(spec, raw=True)
-        assert raw.min() < 0.0
 
     def test_pareto_reach_correlated(self):
         spec = panel.SyntheticPanelSpec(20000, feature_law="pareto_reach",
