@@ -10,6 +10,7 @@ midpoint rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -39,27 +40,6 @@ class BaselineSpec:
                 raise AspanelError("custom baseline must be a finite length-D vector")
             object.__setattr__(self, "vector", v)
 
-    def resolve(self, features: np.ndarray, first_step: Optional[np.ndarray] = None) -> np.ndarray:
-        """Materialize as an array broadcastable against (n, D) features."""
-        n, d = features.shape
-        if self.kind == "zero":
-            return np.zeros(d)
-        if self.kind == "population_mean":
-            return features.mean(axis=0)
-        if self.kind == "first_step":
-            if first_step is None:
-                raise AspanelError("first_step baseline needs a temporal panel")
-            return np.asarray(first_step, dtype=np.float64)
-        if len(self.vector) != d:
-            raise AspanelError(f"custom baseline has length {len(self.vector)}, expected {d}")
-        return self.vector
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero" or (
-            self.kind == "custom_vector" and not np.any(self.vector)
-        )
-
 
 def _resolve_baseline(baseline, z: np.ndarray, first_step=None, n=None) -> np.ndarray:
     """The one resolution of a baseline (None for zero, a BaselineSpec or an
@@ -68,14 +48,19 @@ def _resolve_baseline(baseline, z: np.ndarray, first_step=None, n=None) -> np.nd
     averages the rows of z, which are all T steps of a panel when ``n`` gives
     the agent count; first_step is the step-0 slice."""
     n, D = (len(z) if n is None else n), z.shape[1]
-    if baseline is None:
+    kind = baseline.kind if isinstance(baseline, BaselineSpec) else None
+    if baseline is None or kind == "zero":
         return np.zeros(D)
-    if isinstance(baseline, BaselineSpec):
-        z0 = baseline.resolve(z, first_step)
+    if kind == "population_mean":
+        z0 = z.mean(axis=0)
+    elif kind == "first_step":
+        if first_step is None:
+            raise AspanelError("first_step baseline needs a temporal panel")
+        z0 = np.asarray(first_step, dtype=np.float64)
     else:
-        z0 = np.asarray(baseline, dtype=np.float64)
-        if not np.all(np.isfinite(z0)):
-            raise AspanelError("baseline contains non-finite values")
+        z0 = np.asarray(baseline if kind is None else baseline.vector, dtype=np.float64)
+    if not np.all(np.isfinite(z0)):
+        raise AspanelError("baseline contains non-finite values")
     try:
         if z0.ndim < 2 or z0.shape[0] == 1:
             return np.broadcast_to(z0, (1, D))[0]
@@ -104,9 +89,13 @@ class AttributionResult:
 
 
 def _result(phi, delta_v, z0, method, **meta) -> AttributionResult:
+    phi, delta_v = np.asarray(phi, dtype=np.float64), float(delta_v)
+    if not (math.isfinite(delta_v) and np.all(np.isfinite(phi))):
+        raise AspanelError(f"{method['f']} attribution ({method['name']}) is not finite: "
+                           "float64 overflow or an undefined value of f")
     return AttributionResult(
-        phi=np.asarray(phi, dtype=np.float64),
-        delta_v=float(delta_v),
+        phi=phi,
+        delta_v=delta_v,
         baseline=z0,
         method=method,
         metadata=meta,

@@ -217,21 +217,22 @@ def _study_panel(cfg, seed: int):
 
 def cmd_study(args) -> int:
     cfg = read_kv_config(args.config)
+    mode = cfg.get("mode", "flip")
+    if mode not in ("flip", "rescale", "kconv"):
+        raise AspanelError(f"unknown study mode {mode!r}")
     run = _Run(args, config_path=args.config)
     pn = _study_panel(cfg, args.seed)
     feats = pn.collapse()
     part = panel.make_tier_partition(
         feats[:, 0],
-        cut_fractions=_cfg_number(cfg, "cut_fractions", "0.01 0.10 1.0", float, many=True),
-        agent_ids=pn.agent_ids,
-        anchor_name="reach",
+        _cfg_number(cfg, "cut_fractions", "0.01 0.10 1.0", float, many=True),
+        pn.agent_ids,
     )
     f_names = _split(cfg.get("f", "var"))
     sizes = _cfg_number(cfg, "sizes", "100", many=True)
     seeds = _cfg_number(cfg, "seeds", " ".join(map(str, range(10))), many=True)
     pool_fraction = _cfg_number(cfg, "pool_fraction", study.DEFAULT_POOL_FRACTION, float)
     pool_size = _cfg_number(cfg, "pool_size", study.DEFAULT_POOL_SIZE)
-    mode = cfg.get("mode", "flip")
     if mode == "rescale":
         # the rescale CSV has no protocol column, so one run takes one protocol
         protocols = _split(cfg.get("protocols", "bias_visibility"))
@@ -246,8 +247,7 @@ def cmd_study(args) -> int:
     for name in f_names:
         f = valuefn.by_name(name)
         if mode == "flip":
-            rep = study.flip_study(feats, f, part, protocols, sizes, seeds,
-                                   samplers=samplers)
+            rep = study.flip_study(feats, f, part, samplers, sizes, seeds)
             rep.to_csv(run.path(f"flip_{name}.csv"))
         elif mode == "rescale":
             full = attribution.normalize(attribution.attribute(f, feats))
@@ -268,7 +268,7 @@ def cmd_study(args) -> int:
                         )
                     )
             scalingbias.write_reports_csv(run.path(f"rescale_{name}.csv"), reports)
-        elif mode == "kconv":
+        else:  # kconv
             K_list = _cfg_number(cfg, "K_list", "5 10 20 30 50 100 300", many=True)
             rows = study.k_convergence_sweep(feats, f, K_list)
             with open(run.path(f"kconv_{name}.csv"), "w", newline="") as fh:
@@ -276,8 +276,6 @@ def cmd_study(args) -> int:
                 w.writerow(["K", "rel_l1_error", "seconds"])
                 for r in rows:
                     w.writerow([r["K"], repr(r["rel_l1_error"]), repr(r["seconds"])])
-        else:
-            raise AspanelError(f"unknown study mode {mode!r}")
     run.finish()
     print(f"study mode={mode} complete: {len(run.outputs)} output files in {run.out_dir}")
     return EXIT_OK
@@ -412,7 +410,7 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (FileNotFoundError, NonzeroBaselineError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, NonzeroBaselineError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EmptyPanelError, DegenerateChangeError) as exc:

@@ -18,7 +18,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -141,7 +141,7 @@ class FeaturePanel:
             fh.write(id_block)
 
     @classmethod
-    def load(cls, path, dim_names: Sequence[str] = DEFAULT_DIM_NAMES) -> "FeaturePanel":
+    def load(cls, path) -> "FeaturePanel":
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
                 raise AspanelError(f"{path}: not an ASP1 panel file")
@@ -161,8 +161,7 @@ class FeaturePanel:
                 raise AspanelError(f"{path}: agent id block is not UTF-8 ({exc.reason})") from None
         if len(ids) != n:
             raise AspanelError(f"{path}: agent id count {len(ids)} != header N={n}")
-        names = tuple(dim_names) if len(dim_names) == d else tuple(f"dim{k}" for k in range(d))
-        return cls(feats, ids, names)
+        return cls(feats, ids)
 
     def to_csv(self, path) -> None:
         """Agent-major rows ``agent_id,step,<dims>``, floats as ``repr``."""
@@ -441,8 +440,6 @@ def ingest_jsonl(
 class TierPartition:
     labels: np.ndarray  # per-agent group index, 0 = highest tier
     group_names: tuple[str, ...]
-    anchor_metric: str
-    cut_fractions: tuple[float, ...]
 
     @property
     def n_groups(self) -> int:
@@ -456,39 +453,26 @@ class TierPartition:
 
 
 def make_tier_partition(
-    panel_or_values: Union[FeaturePanel, np.ndarray],
-    anchor: Union[Callable, np.ndarray, None] = None,
+    values,
     cut_fractions: Sequence[float] = DEFAULT_CUT_FRACTIONS,
-    group_names: Optional[Sequence[str]] = None,
-    anchor_name: str = "anchor",
     agent_ids: Optional[Sequence[str]] = None,
 ) -> TierPartition:
     """Rank agents descending by an anchor metric and slice into tiers.
 
-    Ties are broken by agent id (lexicographic) so partitions are
-    reproducible.  Group k holds the agents in cumulative-fraction slice k;
-    boundaries are ceil(fraction * N).
+    Ties are broken by agent id (lexicographic; zero-padded indices when
+    ``agent_ids`` is None) so partitions are reproducible.  Group k holds
+    the agents in cumulative-fraction slice k; boundaries are
+    ceil(fraction * N).  Three groups are named top, mid and tail.
     """
     fracs = tuple(float(f) for f in cut_fractions)
     if any(b <= a for a, b in zip(fracs, fracs[1:])) or fracs[-1] != 1.0:
         raise AspanelError("cut_fractions must be strictly increasing and end at 1.0")
-
-    if isinstance(panel_or_values, FeaturePanel):
-        ids = np.asarray(panel_or_values.agent_ids)
-        metric = anchor(panel_or_values) if callable(anchor) else anchor
-        if metric is None:
-            metric = panel_or_values.collapse()[:, 0]
-    else:
-        metric = np.asarray(panel_or_values, dtype=np.float64)
-        ids = (
-            np.asarray(agent_ids)
-            if agent_ids is not None
-            else np.array([f"{i:09d}" for i in range(len(metric))])
-        )
-    metric = np.asarray(metric, dtype=np.float64)
+    metric = np.asarray(values, dtype=np.float64)
     n = len(metric)
     if n < len(fracs):
         raise AspanelError(f"cannot split {n} agents into {len(fracs)} groups")
+    ids = np.asarray(agent_ids) if agent_ids is not None else np.array(
+        [f"{i:09d}" for i in range(n)])
 
     order = np.lexsort((ids, -metric))
     bounds = [math.ceil(f * n) for f in fracs]
@@ -497,10 +481,9 @@ def make_tier_partition(
     for k, hi in enumerate(bounds):
         labels[order[lo:hi]] = k
         lo = hi
-    names = tuple(group_names) if group_names else tuple(
-        ("top", "mid", "tail")[k] if len(fracs) == 3 else f"group{k}" for k in range(len(fracs))
-    )
-    return TierPartition(labels, names, anchor_name, fracs)
+    names = ("top", "mid", "tail") if len(fracs) == 3 else tuple(
+        f"group{k}" for k in range(len(fracs)))
+    return TierPartition(labels, names)
 
 
 # ---- synthetic generation ------------------------------------------------

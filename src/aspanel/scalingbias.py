@@ -28,7 +28,6 @@ class RescaleReport:
     n: int
     f_kind: str = ""
     subset_seed: Optional[int] = None
-    metadata: dict = None
 
 
 def optimal_rescale(
@@ -36,7 +35,6 @@ def optimal_rescale(
     shares_full_restricted,
     f_kind: str = "",
     subset_seed: Optional[int] = None,
-    metadata: Optional[dict] = None,
 ) -> RescaleReport:
     """Least-squares scalar between subset shares and restricted full shares.
 
@@ -58,7 +56,7 @@ def optimal_rescale(
         rho = float("nan")  # rank correlation undefined for a constant vector
     else:
         rho = float(stats.spearmanr(s, t).statistic)
-    return RescaleReport(c, eps, rho, len(s), f_kind, subset_seed, metadata)
+    return RescaleReport(c, eps, rho, len(s), f_kind, subset_seed)
 
 
 def linear_reconciliation_factor(mu_values_full, subset: Sequence[int]) -> float:
@@ -88,7 +86,7 @@ def _pairwise_mean_product(n: int) -> valuefn.ValueFunction:
     return valuefn.quadratic_cross(np.zeros((n, 1)), C)
 
 
-def counterexample_check(K: int = 300, tol: float = 1e-12) -> dict:
+def counterexample_check(tol: float = 1e-12) -> dict:
     """Build the minimal nonlinear counterexample and verify it end to end.
 
     Three agents with scalar features (1, 1, 2) under the pairwise-product
@@ -99,6 +97,7 @@ def counterexample_check(K: int = 300, tol: float = 1e-12) -> dict:
     """
     z = np.array([[1.0], [1.0], [2.0]])
     f3 = _pairwise_mean_product(3)
+    K = 300  # midpoints per path; the gradient is linear in tau, so any K is exact
     full = attribution.normalize(attribution.attribute_path_integral(f3, z, K=K))
 
     expected_phi = np.array([1.0 / 6.0, 1.0 / 6.0, 2.0 / 9.0])

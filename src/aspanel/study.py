@@ -7,7 +7,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 from scipy import stats
@@ -138,50 +138,38 @@ class FlipReport:
 
 
 def subset_attribution(
-    f: ValueFunction,
-    agent_features: np.ndarray,
-    subset: SubsetSpec,
-    method: str = "auto",
-    K: int = attribution.DEFAULT_K,
+    f: ValueFunction, agent_features: np.ndarray, subset: SubsetSpec
 ) -> AttributionResult:
     """Attribute on the restricted panel: features sliced to S, family size |S|."""
-    fs = f.restrict(subset.indices)
-    return attribute(fs, agent_features[subset.indices], method=method, K=K)
+    return attribute(f.restrict(subset.indices), agent_features[subset.indices])
 
 
 def flip_study(
     agent_features: np.ndarray,
     f: ValueFunction,
     partition: TierPartition,
-    protocols: Sequence[str] = PROTOCOLS,
+    samplers: Mapping[str, SubsetSampler],
     sizes: Sequence[int] = (100,),
     seeds: Sequence[int] = tuple(range(10)),
-    method: str = "auto",
-    K: int = attribution.DEFAULT_K,
-    pool_fraction: float = DEFAULT_POOL_FRACTION,
-    pool_size: int = DEFAULT_POOL_SIZE,
-    samplers: Optional[Mapping[str, SubsetSampler]] = None,
 ) -> FlipReport:
     """Compare tier shares on sampled subsets against the full panel.
 
-    Degenerate cells (zero macro change on the subset) are excluded from the
-    means and counted.  ``samplers`` maps a protocol to a
-    :class:`SubsetSampler` already built on ``agent_features``, so a caller
-    studying several value functions ranks each pool once; a protocol it
-    lacks gets a sampler built here from ``pool_fraction`` and ``pool_size``.
+    ``samplers`` maps each protocol to a :class:`SubsetSampler` built on
+    ``agent_features``, so a caller studying several value functions ranks
+    each pool once.  The report has one row per protocol and size,
+    protocols in the mapping's order.  Degenerate cells (zero macro change
+    on the subset) are excluded from the means and counted.
     """
-    full = normalize(attribute(f, agent_features, method=method, K=K))
+    full = normalize(attribute(f, agent_features))
     full_shares = tier_shares(full, partition)
     report = FlipReport(full_shares, partition.group_names, n_full=len(agent_features))
-    for protocol in protocols:
-        sampler = (samplers or {}).get(protocol) or SubsetSampler(
-            agent_features, protocol, pool_fraction, pool_size)
+    for protocol, sampler in samplers.items():
         for n in sizes:
             shares, degenerate = [], 0
             for seed in seeds:
                 sub = sampler.draw(n, seed)
                 try:
-                    res = normalize(subset_attribution(f, agent_features, sub, method, K))
+                    res = normalize(subset_attribution(f, agent_features, sub))
                 except DegenerateChangeError:
                     degenerate += 1
                     continue

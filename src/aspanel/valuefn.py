@@ -321,8 +321,8 @@ def _softplus_gradient(p, z):
 
 
 def _check_scale(p) -> None:
-    if not p["scale"] > 0:
-        raise AspanelError("softplus scale must be positive")
+    if not 0 < p["scale"] < math.inf:
+        raise AspanelError("softplus scale must be positive and finite")
 
 
 def _custom_gradient(p, z):
@@ -436,6 +436,8 @@ class ValueFunction:
         params = {**spec.defaults, **self.params}
         for name in spec.agent_params:
             params[name] = np.asarray(params[name], dtype=np.float64)
+            if not np.all(np.isfinite(params[name])):
+                raise AspanelError(f"{self.kind} param {name!r} contains non-finite values")
         spec.check(params)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_spec", spec)
@@ -490,14 +492,6 @@ class ValueFunction:
     def has_closed_form(self) -> bool:
         return self._spec.closed_form is not None
 
-    @property
-    def permutation_invariant(self) -> bool:
-        """Relabelling agents cannot change f: every required param is a
-        per-agent row param with all rows equal (the families have none)."""
-        spec, p = self._spec, self.params
-        return all(spec.agent_params.get(name) == "rows" and bool(np.all(p[name] == p[name][0]))
-                   for name in spec.required)
-
     def restrict(self, indices: Sequence[int]) -> "ValueFunction":
         """Restrict to a coalition by slicing the per-agent params; a kind
         without any (lin/heat/var/gini, custom) adapts to n and is returned as is."""
@@ -551,26 +545,16 @@ def by_name(name: str, **params) -> ValueFunction:
     return ValueFunction(name, params)
 
 
-# ---- module-level operations --------------------------------------------
-
-
-def evaluate(f: ValueFunction, features) -> float:
-    return f.evaluate(features)
-
-
-def gradient(f: ValueFunction, features) -> np.ndarray:
-    return f.gradient(features)
+# ---- Hessian probe --------------------------------------------------------
 
 
 def hessian_offdiag_probe(
     f: ValueFunction,
     features,
-    pairs: Optional[Sequence[tuple[int, int, int, int]]] = None,
     n_pairs: int = 32,
-    seed: int = 0,
-    step: float = 1e-4,
 ) -> float:
-    """Max |d^2 f / dz_{i,d} dz_{j,d'}| over sampled cross-agent pairs.
+    """Max |d^2 f / dz_{i,d} dz_{j,d'}| over n_pairs cross-agent pairs,
+    drawn with seed 0.
 
     A numerically-zero probe classifies f as additively separable across
     agents; a clearly positive probe certifies cross-agent interaction.
@@ -580,15 +564,13 @@ def hessian_offdiag_probe(
     n, D = z.shape
     if n < 2:
         raise AspanelError("Hessian probe needs at least two agents")
-    if pairs is None:
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(n_pairs):
-            i, j = rng.choice(n, size=2, replace=False)
-            pairs.append((int(i), int(rng.integers(D)), int(j), int(rng.integers(D))))
+    step = 1e-4  # relative step of the mixed second differences
+    rng = np.random.default_rng(0)
     worst = 0.0
     work = z.copy()
-    for i, d, j, dp in pairs:
+    for _ in range(n_pairs):
+        i, j = rng.choice(n, size=2, replace=False)
+        d, dp = int(rng.integers(D)), int(rng.integers(D))
         hi = step * max(1.0, abs(z[i, d]))
         hj = step * max(1.0, abs(z[j, dp]))
         acc = 0.0

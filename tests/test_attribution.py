@@ -419,26 +419,36 @@ class TestClosedFormBaselines:
 
 
 class TestBaselineSpec:
-    def test_zero_flags(self):
-        assert BaselineSpec("zero").is_zero
-        assert BaselineSpec("custom_vector", np.zeros(3)).is_zero
-        assert not BaselineSpec("custom_vector", np.array([0.0, 1.0, 0.0])).is_zero
-
     def test_population_mean_resolve(self, abs_gaussian):
         z = abs_gaussian(5)
-        assert BaselineSpec("population_mean").resolve(z) == pytest.approx(z.mean(axis=0))
+        res = attribution.attribute(valuefn.linear_mean(), z, BaselineSpec("population_mean"))
+        assert res.baseline == pytest.approx(z.mean(axis=0))
 
     def test_first_step_needs_panel(self, abs_gaussian):
-        with pytest.raises(AspanelError):
-            BaselineSpec("first_step").resolve(abs_gaussian(5))
+        with pytest.raises(AspanelError, match="needs a temporal panel"):
+            attribution.attribute(valuefn.linear_mean(), abs_gaussian(5),
+                                  BaselineSpec("first_step"))
 
     def test_custom_length_checked(self, abs_gaussian):
-        with pytest.raises(AspanelError):
-            BaselineSpec("custom_vector", np.ones(2)).resolve(abs_gaussian(5))
+        with pytest.raises(AspanelError, match="does not fit 5 agents x 3 dims"):
+            attribution.attribute(valuefn.linear_mean(), abs_gaussian(5),
+                                  BaselineSpec("custom_vector", np.ones(2)))
 
     def test_unknown_kind(self):
         with pytest.raises(AspanelError):
             BaselineSpec("yesterday")
+
+
+class TestFloat64Limit:
+    # 4 agents x 2 dims of 1e308: the mean and the row sums overflow
+    @pytest.mark.parametrize("f,baseline", [(valuefn.linear_mean(), "population_mean"),
+                                            (valuefn.variance(), "zero")],
+                             ids=["lin-population_mean", "var-zero"])
+    def test_overflow_raises_instead_of_nan(self, f, baseline):
+        z = np.full((4, 2), 1e308)
+        with pytest.warns(RuntimeWarning):  # overflow, then invalid values
+            with pytest.raises(AspanelError, match="finite"):
+                attribution.attribute(f, z, BaselineSpec(baseline))
 
 
 class TestTemporal:

@@ -129,6 +129,32 @@ class TestIngest:
         pn = panel.FeaturePanel.load(out)
         assert pn.features[pn.agent_ids.index("alice"), 0, 0] == pytest.approx(np.log1p(10))
 
+    @pytest.mark.parametrize("where", ["events", "topics", "follower_snapshot"])
+    def test_directory_input_is_usage_error(self, events_file, tmp_path, capsys, where):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        args = {"events": str(events_file), "topics": "solar"}
+        extra = ["--follower-snapshot", str(folder)] if where == "follower_snapshot" else []
+        args[where] = str(folder)
+        code = run(["ingest", args["events"], args["topics"], *extra,
+                    "--window-start", "100", "--window-end", "300", "--step", "100",
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(folder) in err
+        assert len(err.strip().split("\n")) == 1
+
+    def test_unreadable_input_is_usage_error(self, events_file, tmp_path, capsys, monkeypatch):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(panel, "ingest_jsonl", denied)
+        code = run(["ingest", str(events_file), "solar",
+                    "--window-start", "100", "--window-end", "300", "--step", "100",
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: [Errno 13] Permission denied")
+
     def test_empty_panel_is_data_error(self, events_file, tmp_path):
         code = run(["ingest", str(events_file), "solar",
                     "--window-start", "5000", "--window-end", "5100", "--step", "100",
@@ -221,6 +247,28 @@ class TestAttribute:
         weights.write_text("a,b,c\n" * 4)
         assert run(["attribute", str(pfile), "--f", "additive", "--weights", str(weights),
                     "--out", str(tmp_path / "a.csv"), "--out-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_weights_is_data_error(self, panel_file, tmp_path, capsys, bad):
+        weights = tmp_path / "w.csv"
+        weights.write_text("1,0.5,2\n" * 39 + f"1,{bad},2\n")
+        out = tmp_path / "a.csv"
+        assert run(["attribute", str(panel_file), "--f", "additive", "--weights", str(weights),
+                    "--out", str(out), "--out-dir", str(tmp_path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("f,baseline", [("lin", "population_mean"), ("var", "zero")])
+    def test_float64_overflow_is_data_error(self, tmp_path, capsys, f, baseline):
+        pfile = tmp_path / "huge.asp"
+        panel.FeaturePanel(np.full((4, 1, 2), 1e308), ["a", "b", "c", "d"]).save(pfile)
+        out = tmp_path / "a.csv"
+        with pytest.warns(RuntimeWarning):  # overflow, then invalid values
+            code = run(["attribute", str(pfile), "--f", f, "--baseline", baseline,
+                        "--out", str(out), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_agent_ids_is_data_error(self, panel_file, tmp_path):
         panel_file.write_bytes(panel_file.read_bytes()[:-1] + b"\xff")
@@ -403,6 +451,13 @@ class TestStudy:
         cfg = tmp_path / "study.cfg"
         cfg.write_text("mode = dance\n")
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
+
+    def test_unknown_mode_without_f_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("mode = bogus\nf =\n")
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "unknown study mode 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("sizes", "abc"), ("seeds", "0 x"), ("n_agents", "abc"), ("n_steps", "2.5"),

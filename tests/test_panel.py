@@ -599,13 +599,6 @@ class TestTierPartition:
         with pytest.raises(AspanelError):
             panel.make_tier_partition(np.arange(10.0), cut_fractions=(0.5, 0.9))
 
-    def test_panel_anchor_default_reach(self):
-        feats = np.zeros((3, 1, 3))
-        feats[:, 0, 0] = [1.0, 3.0, 2.0]
-        pn = panel.FeaturePanel(feats, ["a", "b", "c"])
-        part = panel.make_tier_partition(pn, cut_fractions=(0.33, 1.0))
-        assert list(part.group_indices(0)) == [1]
-
 
 class TestSynthetic:
     def test_deterministic(self):

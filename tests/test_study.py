@@ -111,8 +111,8 @@ class TestSamplerAgainstReference:
         f = valuefn.variance()
         part = make_tier_partition(tied_feats[:, 0])
         seeds = range(4)
-        rep = study.flip_study(tied_feats, f, part, study.PROTOCOLS, (20, 40), seeds,
-                               pool_fraction=0.05, pool_size=30)
+        samplers = {p: study.SubsetSampler(tied_feats, p, 0.05, 30) for p in study.PROTOCOLS}
+        rep = study.flip_study(tied_feats, f, part, samplers, (20, 40), seeds)
         rows = iter(rep.rows)
         for protocol in study.PROTOCOLS:
             for n in (20, 40):
@@ -131,7 +131,9 @@ class TestFlipStudy:
         part = make_tier_partition(pareto_feats[:, 0])
         rep = study.flip_study(
             pareto_feats, valuefn.variance(), part,
-            protocols=("bias_visibility", "random"), sizes=(100,), seeds=range(3),
+            {p: study.SubsetSampler(pareto_feats, p, study.DEFAULT_POOL_FRACTION,
+                                    study.DEFAULT_POOL_SIZE) for p in ("bias_visibility", "random")},
+            sizes=(100,), seeds=range(3),
         )
         assert rep.full_shares.sum() == pytest.approx(1.0, abs=1e-10)
         assert len(rep.rows) == 2
@@ -159,31 +161,25 @@ class TestFlipStudy:
         assert cli.main(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         assert sorted(built) == sorted(study.PROTOCOLS)
 
-    def test_given_samplers_match_built_ones(self, pareto_feats):
-        part = make_tier_partition(pareto_feats[:, 0])
-        args = (pareto_feats, valuefn.gini(), part, study.PROTOCOLS, (30, 300), range(3))
-        samplers = {p: study.SubsetSampler(pareto_feats, p, 0.02, 200) for p in study.PROTOCOLS}
-        given = study.flip_study(*args, samplers=samplers)
-        built = study.flip_study(*args, pool_fraction=0.02, pool_size=200)
-        for a, b in zip(given.rows, built.rows):
-            assert np.array_equal(a["per_seed_shares"], b["per_seed_shares"])
-
     def test_degenerate_subsets_counted(self):
         # one distinguished agent: subsets that miss it have zero variance
         z = np.zeros((50, 3))
         z[0] = 1.0
         part = make_tier_partition(z[:, 0])
         rep = study.flip_study(z, valuefn.variance(), part,
-                               protocols=("random",), sizes=(5,), seeds=range(20))
+                               {"random": study.SubsetSampler(z, "random", 0.05, 10)},
+                               sizes=(5,), seeds=range(20))
         row = rep.rows[0]
         assert row["n_degenerate"] > 0
         assert row["n_seeds"] + row["n_degenerate"] == 20
 
     def test_degenerate_full_panel_raises(self):
         part = make_tier_partition(np.arange(50.0))
+        z = np.ones((50, 3))
         with pytest.raises(DegenerateChangeError):
-            study.flip_study(np.ones((50, 3)), valuefn.variance(), part,
-                             protocols=("random",), sizes=(10,), seeds=range(2))
+            study.flip_study(z, valuefn.variance(), part,
+                             {"random": study.SubsetSampler(z, "random", 0.05, 10)},
+                             sizes=(10,), seeds=range(2))
 
     def test_subset_attribution_restricts(self, pareto_feats):
         sub = study.sample_subset(pareto_feats, "random", 30, seed=2)

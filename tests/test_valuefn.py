@@ -47,17 +47,17 @@ def build(name, n, d, rng):
 class TestEvaluate:
     def test_lin_mean(self):
         z = np.array([[1.0], [1.0], [2.0]])
-        assert valuefn.evaluate(valuefn.linear_mean(), z) == pytest.approx(4 / 3)
+        assert valuefn.linear_mean().evaluate(z) == pytest.approx(4 / 3)
 
     def test_heat_all_equal(self):
         for n in (2, 5, 17):
             z = np.ones((n, 3))
-            assert valuefn.evaluate(valuefn.heat(), z) == pytest.approx(math.log(2))
+            assert valuefn.heat().evaluate(z) == pytest.approx(math.log(2))
 
     def test_gini_two_agents(self):
         # direct double loop: (1/(2*4)) * 2*|1-3| = 1/2
         z = np.array([[1.0], [3.0]])
-        assert valuefn.evaluate(valuefn.gini(), z) == pytest.approx(0.5)
+        assert valuefn.gini().evaluate(z) == pytest.approx(0.5)
 
     def test_gini_matches_double_loop(self, rng):
         f = valuefn.gini()
@@ -117,19 +117,15 @@ class TestPermutationInvariance:
                   valuefn.softplus_aggregator(np.ones_like(z))):
             assert f.evaluate(z[perm]) == pytest.approx(f.evaluate(z), rel=1e-12)
 
-    def test_index_weighted_exempt(self, rng):
-        W = rng.standard_normal((5, 3))
-        assert not valuefn.additive(W).permutation_invariant
-
 
 class TestGradient:
     def test_lin_constant(self):
-        g = valuefn.gradient(valuefn.linear_mean(), np.ones((4, 3)))
+        g = valuefn.linear_mean().gradient(np.ones((4, 3)))
         assert np.allclose(g, 0.25)
 
     def test_var_hand_value(self):
         # g = (0, 2), n = 2: entry for agent 2 is (2/2)(2-1) = 1
-        g = valuefn.gradient(valuefn.variance(), np.array([[0.0], [2.0]]))
+        g = valuefn.variance().gradient(np.array([[0.0], [2.0]]))
         assert g[1, 0] == pytest.approx(1.0)
         fd = fd_gradient(valuefn.variance(), np.array([[0.0], [2.0]]))
         assert np.allclose(g, fd, atol=1e-6)
@@ -219,6 +215,21 @@ class TestValidation:
             f.gradient(rng.random((40, 3)))
         with pytest.raises(AspanelError):
             f.evaluate(rng.random((40, 3)))
+
+    @pytest.mark.parametrize("name", [n for n, k in valuefn.KINDS.items() if k.agent_params])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_agent_params_rejected(self, name, bad, rng):
+        f = build(name, 3, 2, rng)
+        for param in valuefn.KINDS[name].agent_params:
+            values = f.params[param].copy()
+            values[0, 1] = bad
+            with pytest.raises(AspanelError, match=f"{param}' contains non-finite"):
+                valuefn.ValueFunction(name, {**f.params, param: values})
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
+    def test_softplus_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(AspanelError, match="scale"):
+            valuefn.softplus_aggregator(np.ones((2, 2)), scale=scale)
 
     def test_by_name_missing_param_rejected(self):
         with pytest.raises(AspanelError):
