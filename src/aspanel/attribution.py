@@ -10,7 +10,6 @@ midpoint rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -88,11 +87,18 @@ class AttributionResult:
         return abs(float(self.phi.sum()) - self.delta_v)
 
 
+def _finite(values, what: str):
+    """values, unless an entry is NaN or infinite: then AspanelError naming ``what``."""
+    if not np.all(np.isfinite(values)):
+        raise AspanelError(f"{what} is not finite: float64 overflow or an undefined value of f")
+    return values
+
+
 def _result(phi, delta_v, z0, method, **meta) -> AttributionResult:
     phi, delta_v = np.asarray(phi, dtype=np.float64), float(delta_v)
-    if not (math.isfinite(delta_v) and np.all(np.isfinite(phi))):
-        raise AspanelError(f"{method['f']} attribution ({method['name']}) is not finite: "
-                           "float64 overflow or an undefined value of f")
+    what = f"{method['f']} attribution ({method['name']})"
+    _finite(phi, what)
+    _finite(delta_v, what)
     return AttributionResult(
         phi=phi,
         delta_v=delta_v,

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attribution import _resolve_baseline
+from .attribution import _finite, _resolve_baseline
 from .errors import AspanelError, InfeasibleError
 from .valuefn import ValueFunction, _as_features
 
@@ -92,7 +92,7 @@ def leave_one_out(game: CoalitionGame) -> np.ndarray:
     if game.n < 2:
         raise AspanelError("leave-one-out needs at least two agents")
     masks = ~np.eye(game.n, dtype=bool)
-    return game.grand_value() - game.mask_values(masks)
+    return _finite(game.grand_value() - game.mask_values(masks), "leave-one-out")
 
 
 # ---- exact enumeration -----------------------------------------------------
@@ -114,7 +114,7 @@ def _exact(game: CoalitionGame, what: str, weight: Callable[[int], np.ndarray]) 
     for i in range(n):
         without = np.flatnonzero(~bits[:, i])
         phi[i] = float(np.sum(w[sizes[without]] * (vals[without | 1 << i] - vals[without])))
-    return phi
+    return _finite(phi, f"exact {what}")
 
 
 def _shapley_weights(n: int) -> np.ndarray:
@@ -167,7 +167,7 @@ def sampled_shapley(game: CoalitionGame, m: int, seed: Optional[int] = None) -> 
     mean = acc / m
     var = np.maximum(acc2 / m - mean**2, 0.0)
     stderr = np.sqrt(var / m) if m > 1 else np.full(n, np.nan)
-    return SampledEstimate(mean, stderr, m, seed)
+    return SampledEstimate(_finite(mean, "sampled Shapley"), stderr, m, seed)
 
 
 def sampled_banzhaf(game: CoalitionGame, m: int, seed: Optional[int] = None) -> SampledEstimate:
@@ -187,4 +187,4 @@ def sampled_banzhaf(game: CoalitionGame, m: int, seed: Optional[int] = None) -> 
         diffs = game.mask_values(masks) - without
         phi[i] = diffs.mean()
         stderr[i] = float(np.sqrt(diffs.var(ddof=1) / m)) if m > 1 else np.nan
-    return SampledEstimate(phi, stderr, m, seed)
+    return SampledEstimate(_finite(phi, "sampled Banzhaf"), stderr, m, seed)

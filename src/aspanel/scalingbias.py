@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import attribution, baselines, valuefn
 from .errors import AspanelError
@@ -41,22 +40,23 @@ def optimal_rescale(
     c* = <s, t> / <t, t> minimizes ||s - c t||, and the relative residual
     epsilon = ||s - c* t|| / ||s|| is zero iff the vectors are proportional.
     The full-panel shares are restricted to the subset without renormalizing.
+    Non-finite shares raise :class:`AspanelError`; the rank correlation
+    ``rank_spearman`` is NaN, on purpose and without a warning, when either
+    vector is constant.
     """
     s = np.asarray(shares_subset, dtype=np.float64)
     t = np.asarray(shares_full_restricted, dtype=np.float64)
     if s.shape != t.shape or s.ndim != 1 or len(s) < 2:
         raise AspanelError("share vectors must be 1-d, equal length >= 2")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
+        raise AspanelError("share vectors contain non-finite values")
     s_norm = np.linalg.norm(s)
     t_norm = np.linalg.norm(t)
     if s_norm == 0.0 or t_norm == 0.0:
         raise AspanelError("zero-norm share vector")
     c = float(s @ t) / float(t @ t)
     eps = float(np.linalg.norm(s - c * t) / s_norm)
-    if np.ptp(s) == 0.0 or np.ptp(t) == 0.0:
-        rho = float("nan")  # rank correlation undefined for a constant vector
-    else:
-        rho = float(stats.spearmanr(s, t).statistic)
-    return RescaleReport(c, eps, rho, len(s), f_kind, subset_seed)
+    return RescaleReport(c, eps, valuefn._spearman_rho(s, t), len(s), f_kind, subset_seed)
 
 
 def linear_reconciliation_factor(mu_values_full, subset: Sequence[int]) -> float:

@@ -10,13 +10,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from . import attribution, baselines
 from .attribution import AttributionResult, attribute, normalize, tier_shares
 from .errors import AspanelError, DegenerateChangeError, InfeasibleError
 from .panel import FeaturePanel, TierPartition
-from .valuefn import ValueFunction
+from .valuefn import ValueFunction, _kendall_tau_b, _spearman_rho
 
 PROTOCOLS = ("bias_visibility", "bias_topic_x_follow", "bias_topic_top", "random")
 DEFAULT_POOL_FRACTION = 0.05
@@ -200,12 +199,21 @@ def top_k_set(phi: np.ndarray, k: int) -> set[int]:
 
 
 def rank_agreement(phi_a, phi_b, k: int = 10) -> dict:
+    """Kendall's tau-b, Spearman's rho and the Jaccard index of the top-k sets
+    of two attribution vectors.
+
+    Non-finite input raises :class:`AspanelError`.  A constant vector has no
+    rank correlation: tau and rho are then NaN, on purpose and without a
+    warning.
+    """
     a = np.asarray(phi_a, dtype=np.float64)
     b = np.asarray(phi_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
         raise AspanelError("attribution vectors must be 1-d, equal length >= 2")
-    tau = float(stats.kendalltau(a, b).statistic)
-    rho = float(stats.spearmanr(a, b).statistic)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise AspanelError("attribution vectors contain non-finite values")
+    tau = _kendall_tau_b(a, b)
+    rho = _spearman_rho(a, b)
     ta, tb = top_k_set(a, k), top_k_set(b, k)
     jac = len(ta & tb) / len(ta | tb) if (ta | tb) else 1.0
     return {"kendall_tau": tau, "spearman_rho": rho, "jaccard_top_k": jac}

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import AspanelError
 
@@ -45,6 +44,36 @@ def _as_features(z) -> np.ndarray:
     return z
 
 
+# ---- ranks and rank correlation --------------------------------------------
+# Each result equals scipy.stats' rankdata(method="average"), spearmanr and
+# kendalltau (tau-b) bit for bit on finite input; the tests compare them.
+
+
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """True at 0 and wherever s differs from the entry before (-0.0 equals 0.0)."""
+    start = np.empty(len(s), dtype=bool)
+    start[:1] = True
+    np.not_equal(s[1:], s[:-1], out=start[1:])
+    return start
+
+
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An ascending order of x and, along it, True where a run of equal values
+    starts.  Tied values share one rank, so the order among them is free."""
+    order = np.argsort(x)
+    return order, _run_starts(x[order])
+
+
+def _midranks(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    order, start = _runs(x)
+    # run k holds the sorted positions edges[k]:edges[k + 1]
+    edges = np.append(np.flatnonzero(start), len(x))
+    ranks = np.empty(len(x))
+    # scipy's midrank of a run, .5 * (count[dense] + count[dense - 1] + 1): exact in float64
+    ranks[order] = np.repeat(0.5 * (edges[1:] + edges[:-1] + 1), np.diff(edges))
+    return ranks, len(edges) - 1 < len(x)
+
+
 def gini_ranks(g: np.ndarray) -> tuple[np.ndarray, bool]:
     """1-based ascending ranks of g, ties given their average (mid) rank.
 
@@ -52,9 +81,66 @@ def gini_ranks(g: np.ndarray) -> tuple[np.ndarray, bool]:
     down the symmetric subgradient, so identical agents receive identical
     attribution.  Returns (ranks, had_ties).
     """
-    ranks = rankdata(g, method="average")
-    had_ties = bool(len(g) > 1 and np.any(np.diff(np.sort(g)) == 0))
-    return ranks, had_ties
+    return _midranks(g)
+
+
+def _spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rho of two finite vectors of one length >= 2: Pearson's r of
+    their midranks.  NaN, with no warning, when either vector is constant."""
+    if (a == a[0]).all() or (b == b[0]).all():
+        return math.nan
+    # one stacked array as spearmanr builds it: corrcoef of two separate
+    # vectors can differ in the last bit
+    ranks = np.column_stack([_midranks(a)[0], _midranks(b)[0]])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _tied_pairs(start: np.ndarray) -> int:
+    sizes = np.diff(np.append(np.flatnonzero(start), len(start)))
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
+def _inversions(y: np.ndarray) -> int:
+    """Pairs i < j with y[i] > y[j], for nonnegative integers y: a bottom-up
+    merge sort that, at each block width w, counts for each element of a right
+    block the elements above it in the left block beside it (O(n log^2 n))."""
+    n = len(y)
+    pos = np.arange(n)
+    span = int(y.max()) + 1
+    count, w = 0, 1
+    while w < n:
+        pair = pos // (2 * w)
+        key = pair * span + y  # y ascends within each block of w, and so does key
+        left = (pos // w) % 2 == 0
+        lk, rk = key[left], key[~left]
+        end = np.searchsorted(lk, (pair[~left] + 1) * span)  # end of the left block beside
+        count += int((end - np.searchsorted(lk, rk, side="right")).sum())
+        key.sort()
+        y = key - pair * span
+        w *= 2
+    return count
+
+
+def _kendall_tau_b(a: np.ndarray, b: np.ndarray) -> float:
+    """Kendall's tau-b of two finite vectors of one length >= 2, from exact
+    integer pair counts (Knight 1966).  NaN, with no warning, when either
+    vector is constant."""
+    n = len(a)
+    order = np.lexsort((b, a))  # by a, ties by b: no pair tied in a is discordant
+    a, b = a[order], b[order]
+    b_order, b_start = _runs(b)
+    y = np.empty(n, dtype=np.int64)
+    y[b_order] = np.cumsum(b_start)  # dense ranks of b
+    a_start = _run_starts(a)
+    both_start = a_start | _run_starts(b)
+    tot = n * (n - 1) // 2
+    xtie, ytie, ntie = _tied_pairs(a_start), _tied_pairs(b_start), _tied_pairs(both_start)
+    if xtie == tot or ytie == tot:
+        return math.nan
+    # tot = concordant + discordant + xtie + ytie - ntie
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * _inversions(y)
+    tau = con_minus_dis / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
+    return min(1.0, max(-1.0, tau))
 
 
 @dataclass(frozen=True)

@@ -286,3 +286,21 @@ class TestAdditiveGroundTruth:
         assert baselines.sampled_shapley(game, 200, seed=0).values == pytest.approx(
             truth, abs=1e-10
         )
+
+
+class TestFloat64Limit:
+    # 4 agents x 2 dims of 1e308: the row sums overflow, as in attribute's test
+    @pytest.mark.parametrize("semantics", ["restrict", "pin"])
+    @pytest.mark.parametrize("estimator", [
+        baselines.leave_one_out,
+        baselines.exact_shapley,
+        baselines.exact_banzhaf,
+        lambda game: baselines.sampled_shapley(game, 3, seed=0),
+        lambda game: baselines.sampled_banzhaf(game, 3, seed=0),
+    ], ids=["leave_one_out", "exact_shapley", "exact_banzhaf", "sampled_shapley",
+            "sampled_banzhaf"])
+    def test_overflow_raises_instead_of_nan(self, estimator, semantics):
+        with pytest.warns(RuntimeWarning):  # overflow, then invalid values
+            game = CoalitionGame(valuefn.variance(), np.full((4, 2), 1e308), semantics)
+            with pytest.raises(AspanelError, match="not finite"):
+                estimator(game)

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aspanel
 from aspanel import attribution, cli, panel, valuefn
 from aspanel.errors import AspanelError
 
@@ -498,3 +502,15 @@ class TestVerify:
         assert "all checks passed" in out
         rep = json.loads((tmp_path / "verify.json").read_text())
         assert rep["max_abs_error"] <= 1e-12
+
+
+class TestImport:
+    def test_runtime_imports_no_scipy(self):
+        # scipy is the tests' reference only; a fresh interpreter sees what aspanel loads
+        src = os.path.dirname(os.path.dirname(aspanel.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import aspanel, aspanel.cli, sys; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -28,6 +28,13 @@ class TestOptimalRescale:
         rep = scalingbias.optimal_rescale([0.5, 0.5], [0.3, 0.4])
         assert np.isnan(rep.rank_spearman)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_share_rejected(self, bad):
+        with pytest.raises(AspanelError, match="non-finite"):
+            scalingbias.optimal_rescale([0.2, bad, 0.5], [0.2, 0.3, 0.5])
+        with pytest.raises(AspanelError, match="non-finite"):
+            scalingbias.optimal_rescale([0.2, 0.3, 0.5], [0.2, bad, 0.5])
+
     def test_zero_vector_rejected(self):
         with pytest.raises(AspanelError):
             scalingbias.optimal_rescale([0.0, 0.0], [0.1, 0.2])

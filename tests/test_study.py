@@ -215,6 +215,19 @@ class TestRankAgreement:
         with pytest.raises(AspanelError):
             study.rank_agreement([1.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        phi = np.arange(5, dtype=np.float64)
+        with pytest.raises(AspanelError, match="non-finite"):
+            study.rank_agreement(np.where(phi == 2, bad, phi), phi)
+        with pytest.raises(AspanelError, match="non-finite"):
+            study.rank_agreement(phi, np.where(phi == 2, bad, phi))
+
+    def test_constant_vector_is_nan_without_warning(self):
+        # a RuntimeWarning fails the test (pyproject.toml), so none may escape
+        out = study.rank_agreement(np.full(6, 0.5), np.arange(6, dtype=np.float64))
+        assert np.isnan(out["kendall_tau"]) and np.isnan(out["spearman_rho"])
+
 
 class TestDeletion:
     def make_panel(self):

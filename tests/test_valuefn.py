@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
-from aspanel import attribution, baselines, cli, valuefn
+from aspanel import attribution, baselines, cli, study, valuefn
 from aspanel.errors import AspanelError
 
 
@@ -104,6 +106,60 @@ class TestEvaluate:
         H = np.prod(z.mean(axis=0))
         for tau in (0.25, 0.5, 2.0):
             assert f.evaluate(tau * z) == pytest.approx(math.log1p(tau**3 * H))
+
+
+# vectors for the rank tests: heavy ties, signed zeros, any finite float, all tied
+RANK_ENTRIES = [st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                st.floats(allow_nan=False, allow_infinity=False)]
+
+
+@st.composite
+def rank_vectors(draw, n):
+    if draw(st.booleans()) and draw(st.booleans()):  # one draw in four is all tied
+        return np.full(n, draw(RANK_ENTRIES[2]))
+    return draw(arrays(np.float64, n, elements=draw(st.sampled_from(RANK_ENTRIES))))
+
+
+def scipy_correlations(a, b):
+    """scipy's (tau-b, rho); scipy warns on a constant vector, the package does not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return stats.kendalltau(a, b).statistic, stats.spearmanr(a, b).statistic
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestRanksMatchScipy:
+    """Midranks, Spearman and Kendall tau-b against scipy.stats, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_midranks(self, data):
+        x = data.draw(rank_vectors(data.draw(st.integers(1, 300))))
+        ranks, had_ties = valuefn.gini_ranks(x)
+        assert ranks.tobytes() == stats.rankdata(x, method="average").tobytes()
+        assert had_ties == (len(np.unique(x)) < len(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rank_correlations(self, data):
+        n = data.draw(st.integers(2, 300))
+        a, b = data.draw(rank_vectors(n)), data.draw(rank_vectors(n))
+        out = study.rank_agreement(a, b)
+        tau, rho = scipy_correlations(a, b)
+        assert same_bits(out["kendall_tau"], tau)
+        assert same_bits(out["spearman_rho"], rho)
+
+    def test_ten_thousand_with_ties(self):
+        rng = np.random.default_rng(7)
+        a = rng.integers(-50, 50, 10_000).astype(float)
+        b = np.round(a + 20 * rng.standard_normal(10_000))
+        assert valuefn.gini_ranks(a)[0].tobytes() == stats.rankdata(a).tobytes()
+        out = study.rank_agreement(a, b)
+        tau, rho = scipy_correlations(a, b)
+        assert same_bits(out["kendall_tau"], tau) and same_bits(out["spearman_rho"], rho)
 
 
 class TestPermutationInvariance:
