@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AspanelError, DegenerateChangeError, NonzeroBaselineError
 from .panel import FeaturePanel, TierPartition
-from .valuefn import ValueFunction, _as_features
+from .valuefn import ValueFunction, _as_features, _row_sums
 
 DEFAULT_K = 30
 DEGENERATE_TOL = 1e-12
@@ -199,7 +199,7 @@ def _midpoint(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, permuted:
         for k in range(1, K + 1):
             tau = (k - 0.5) / K
             acc += f.gradient(z0_full + tau * delta)
-        phi = (delta * acc / K).sum(axis=1)
+        phi = _row_sums(delta * acc / K)
         method = {"name": "midpoint", "K": K, "f": f.kind}
     else:
         rng = np.random.default_rng(seed)

@@ -24,6 +24,9 @@ from .errors import AspanelError, InfeasibleError
 from .valuefn import ValueFunction, _as_features
 
 EXACT_GUARD = 20
+# (row, agent, dim) cells of the temporaries sampled_banzhaf holds at once;
+# a block has at least one row
+BANZHAF_BLOCK = 1 << 16
 
 
 class CoalitionGame:
@@ -44,6 +47,7 @@ class CoalitionGame:
         # per-agent statistics for f's vectorized coalition values, when it has
         # them; restrict values never read the baseline, pinned ones do
         self._stats = f.agent_stats(z) if semantics == "restrict" else None
+        self._paired = self._stats is not None and f.has_paired_values
 
     @property
     def n(self) -> int:
@@ -76,6 +80,24 @@ class CoalitionGame:
             return self.f.mask_values(self._stats, masks)
         return np.array([self.value(np.flatnonzero(row)) for row in masks])
 
+    def paired_values(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v(C_j + i), v(C_j - i)) for each row C_j of an (m, n) boolean
+        coalition matrix and each agent i, two (m, n) arrays: vectorized over
+        the agents when f's kind has the hook, else two :meth:`mask_values`
+        calls per agent with its column toggled."""
+        masks = np.asarray(masks, dtype=bool)
+        if self._paired:
+            return self.f.paired_values(self._stats, masks)
+        with_, without = np.empty(masks.shape), np.empty(masks.shape)
+        work = masks.copy()
+        for i in range(self.n):
+            work[:, i] = True
+            with_[:, i] = self.mask_values(work)
+            work[:, i] = False
+            without[:, i] = self.mask_values(work)
+            work[:, i] = masks[:, i]
+        return with_, without
+
 
 @dataclass(frozen=True)
 class SampledEstimate:
@@ -98,6 +120,13 @@ def leave_one_out(game: CoalitionGame) -> np.ndarray:
 # ---- exact enumeration -----------------------------------------------------
 
 
+def _all_coalitions(n: int) -> np.ndarray:
+    """The 2^n x n boolean membership matrix, row k holding the bits of k
+    lowest first, built at one byte per cell."""
+    codes = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(codes, axis=1, count=n, bitorder="little").view(bool)
+
+
 def _exact(game: CoalitionGame, what: str, weight: Callable[[int], np.ndarray]) -> np.ndarray:
     """phi_i = sum over coalitions S without i of w[|S|] (v(S + i) - v(S)),
     w = weight(n), from v of all 2^n coalitions (row index = bitmask over agents)."""
@@ -107,7 +136,7 @@ def _exact(game: CoalitionGame, what: str, weight: Callable[[int], np.ndarray]) 
             f"exact {what} is infeasible for n={n} (> {EXACT_GUARD}): 2^n enumeration"
         )
     w = weight(n)
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    bits = _all_coalitions(n)
     vals = game.mask_values(bits)
     sizes = bits.sum(axis=1)
     phi = np.zeros(n)
@@ -171,20 +200,38 @@ def sampled_shapley(game: CoalitionGame, m: int, seed: Optional[int] = None) -> 
 
 
 def sampled_banzhaf(game: CoalitionGame, m: int, seed: Optional[int] = None) -> SampledEstimate:
-    """Monte Carlo Banzhaf: for each agent, m uniform coalitions of the
-    others and the paired marginal v(C + i) - v(C)."""
+    """Monte Carlo Banzhaf on one shared draw of m uniform coalitions C_j: agent
+    i averages the paired marginals v(C_j + i) - v(C_j - i).
+
+    Each agent still sees m independent uniform coalitions of the others, so
+    its estimate keeps its unbiasedness and variance (and is exact on an
+    additive game); only different agents' estimates are correlated.
+    """
     if m < 1:
         raise AspanelError("need at least one coalition sample")
-    n = game.n
-    rng = np.random.default_rng(seed)
-    phi = np.zeros(n)
-    stderr = np.zeros(n)
-    for i in range(n):
-        masks = rng.random((m, n)) < 0.5
-        masks[:, i] = False
-        without = game.mask_values(masks)
-        masks[:, i] = True
-        diffs = game.mask_values(masks) - without
-        phi[i] = diffs.mean()
-        stderr[i] = float(np.sqrt(diffs.var(ddof=1) / m)) if m > 1 else np.nan
+    n, D = game.features.shape
+    masks = np.random.default_rng(seed).integers(0, 2, size=(m, n), dtype=bool)
+    # Hooked values of a row do not depend on the rows beside it, so they go
+    # in blocks of rows; mask_values may round a row by its block, so a game
+    # without the hook takes all rows at once.  Either way no block size
+    # changes the result.
+    rows = max(1, BANZHAF_BLOCK // (n * D)) if game._paired else m
+    # sums over the rows of d - shift and its square, shift the first row's
+    # marginals: the shifted second moment keeps its precision where d varies little
+    acc = acc2 = 0.0
+    for lo in range(0, m, rows):
+        with_, without = game.paired_values(masks[lo:lo + rows])
+        d = np.subtract(with_, without, out=with_)
+        del without
+        if lo == 0:
+            shift = d[0].copy()
+        d -= shift
+        d2 = d * d
+        # the running sums go first, so each sum adds the rows in order
+        d[0] += acc
+        d2[0] += acc2
+        acc, acc2 = np.cumsum(d, axis=0, out=d)[-1], np.cumsum(d2, axis=0, out=d2)[-1]
+    phi = shift + acc / m
+    var = np.maximum(acc2 - acc * acc / m, 0.0) / (m - 1) if m > 1 else np.full(n, np.nan)
+    stderr = np.sqrt(var / m)
     return SampledEstimate(_finite(phi, "sampled Banzhaf"), stderr, m, seed)

@@ -36,7 +36,7 @@ _MAGIC = b"ASP1"
 
 def _validate(ts, actor, kind, text, target) -> None:
     """Raise ValueError unless the fields make a valid event."""
-    if not isinstance(ts, _TS_TYPES) or not _INT64_MIN <= ts <= _INT64_MAX:
+    if not isinstance(ts, _TS_TYPES) or isinstance(ts, bool) or not _INT64_MIN <= ts <= _INT64_MAX:
         raise ValueError(f"ts {ts!r} is not an int64 timestamp")
     # agent ids are newline-delimited UTF-8 in the panel file
     if not isinstance(actor, str) or not actor or "\n" in actor:
@@ -240,7 +240,7 @@ def _read_event_columns(path) -> tuple[_Columns, int]:
                 obj, end = decode(line)
                 if end != len(line):
                     raise ValueError("trailing data after the JSON value")
-                ts, actor, kind = int(obj["ts"]), str(obj["actor"]), str(obj["kind"])
+                ts, actor, kind = obj["ts"], obj["actor"], obj["kind"]
                 text, target = obj.get("text"), obj.get("target")
                 _validate(ts, actor, kind, text, target)
             except (ValueError, KeyError, TypeError, OverflowError, RecursionError):

@@ -44,6 +44,20 @@ def _as_features(z) -> np.ndarray:
     return z
 
 
+def _row_sums(z: np.ndarray) -> np.ndarray:
+    """z.sum(axis=-1) bit for bit, one column at a time.  Below 8 terms numpy
+    adds a row's entries in order onto 0.0, so 0.0 + z[..., 0] starts the sum
+    (a row of -0.0 sums to +0.0); numpy's short-axis reduction costs more than
+    the sums themselves."""
+    D = z.shape[-1]
+    if D >= 8:
+        return z.sum(axis=-1)
+    out = z[..., 0] + 0.0
+    for d in range(1, D):
+        out += z[..., d]
+    return out
+
+
 # ---- ranks and rank correlation --------------------------------------------
 # Each result equals scipy.stats' rankdata(method="average"), spearmanr and
 # kendalltau (tau-b) bit for bit on finite input; the tests compare them.
@@ -160,11 +174,14 @@ class Kind:
     check_path: Callable = lambda p, z, z0: None
     # coalition values under restrict semantics, which read no baseline: agent_stats
     # (params, z) runs once per game, and its stats feed mask_values(params,
-    # stats, masks), v(C) for each row of an (m, n) boolean matrix, and
-    # prefix_values(params, stats, perm), v(perm[:t]) for t = 1..n; v(empty) = 0
+    # stats, masks), v(C) for each row of an (m, n) boolean matrix,
+    # prefix_values(params, stats, perm), v(perm[:t]) for t = 1..n, and
+    # paired_values(params, stats, masks), the two (m, n) arrays v(C_j + i) and
+    # v(C_j - i) for each row j and agent i; v(empty) = 0
     agent_stats: Optional[Callable] = None
     mask_values: Optional[Callable] = None
     prefix_values: Optional[Callable] = None
+    paired_values: Optional[Callable] = None
     required: tuple = ()  # params every caller must supply
     agent_params: dict = field(default_factory=dict)  # name -> "rows" (n x D) | "pairs" (n x n)
     defaults: dict = field(default_factory=dict)
@@ -175,7 +192,7 @@ class Kind:
 
 
 def _lin_phi(p, z, z0):
-    g, g0 = z.sum(axis=1), z0.sum(axis=-1)
+    g, g0 = _row_sums(z), _row_sums(z0)
     return (g - g0) / len(g), float(g.mean() - g0.mean()), {}
 
 
@@ -274,14 +291,14 @@ def _heat_phi(p, z, z0):
         m0, m1, roots = _heat_path(p, z, z0)
         weights = _heat_path_weights(m0, m1, roots)
         return (z - z0) @ weights / n, float(np.log1p(np.prod(m1)) - np.log1p(np.prod(m0))), {}
-    m1 = z.mean(axis=0)
+    sums = z.sum(axis=0)
+    m1 = sums / n  # z.mean(axis=0), bit for bit
     _heat_check_path([1.0 + float(np.prod(m1))])  # q(tau) = 1 + tau^D prod(m1) is monotone
     val = float(np.log1p(np.prod(m1)))
     # From zero, phi_i = (v / D) sum_d z_id / sum_j z_jd; a zero column sum
     # means v = 0, so that block is skipped rather than divided by zero.  With
     # exactly one zero sum s_k, the path integral keeps the k-th gradient term:
     # phi_i = z_ik prod_{d != k}(s_d / n) / (n D); with two or more, phi = 0.
-    sums = z.sum(axis=0)
     zero = np.flatnonzero(sums == 0)
     if len(zero) == 1:
         k = zero[0]
@@ -289,16 +306,16 @@ def _heat_phi(p, z, z0):
     shares = np.zeros_like(z)
     nonzero = sums != 0
     shares[:, nonzero] = z[:, nonzero] / sums[nonzero]
-    return shares.sum(axis=1) * (val / D), val, {}
+    return _row_sums(shares) * (val / D), val, {}
 
 
 def _var_value(p, z) -> float:
-    g = z.sum(axis=1)
+    g = _row_sums(z)
     return float(np.mean((g - g.mean()) ** 2))
 
 
 def _var_gradient(p, z):
-    g = z.sum(axis=1)
+    g = _row_sums(z)
     col = (2.0 / len(g)) * (g - g.mean())
     return np.repeat(col[:, None], z.shape[1], axis=1)
 
@@ -307,14 +324,14 @@ def _var_phi(p, z, z0):
     # The gradient is linear in tau, so phi_i = (g_i - g0_i)((g_i - gbar) +
     # (g0_i - g0bar)) / n; the order of operations keeps g (g - gbar) / n
     # bit for bit at the zero baseline.
-    g, g0 = z.sum(axis=1), z0.sum(axis=-1)
+    g, g0 = _row_sums(z), _row_sums(z0)
     gbar, g0bar = g.mean(), g0.mean()
     phi = (g - g0) * ((g - gbar) - (g0bar - g0)) / len(g)
     return phi, float(np.mean((g - gbar) ** 2) - ((g0 - g0bar) ** 2).mean()), {}
 
 
 def _gini_value(p, z) -> float:
-    g = z.sum(axis=1)
+    g = _row_sums(z)
     n = len(g)
     ranks, _ = gini_ranks(g)
     # sorted-rank identity for (1/2n^2) sum_ij |g_i - g_j|
@@ -322,7 +339,7 @@ def _gini_value(p, z) -> float:
 
 
 def _gini_gradient(p, z):
-    g = z.sum(axis=1)
+    g = _row_sums(z)
     n = len(g)
     ranks, _ = gini_ranks(g)
     col = (2.0 * ranks - n - 1.0) / n**2
@@ -333,7 +350,7 @@ def _gini_phi(p, z, z0):
     # From a shared row z0 every g_i moves as (1 - tau) sum(z0) + tau g_i, so
     # the ranks hold along the path.  The rank weights sum to zero and
     # f(z0) = 0, hence delta_v = sum(phi).
-    g = z.sum(axis=1)
+    g = _row_sums(z)
     n = len(g)
     ranks, ties = gini_ranks(g)
     phi = (g - z0.sum()) * (2.0 * ranks - n - 1.0) / n**2
@@ -345,7 +362,7 @@ GINI_PREFIX_BLOCK = 1 << 16
 
 
 def _gini_stats(p, z):
-    g = z.sum(axis=1)
+    g = _row_sums(z)
     return g, np.argsort(g, kind="stable")
 
 
@@ -379,7 +396,7 @@ def _gini_prefix_values(p, stats, perm):
 
 
 def _quadratic_value(p, z) -> float:
-    s = z.sum(axis=1)
+    s = _row_sums(z)
     return float(np.sum(p["diag"] * z**2) + 0.5 * s @ p["coupling"] @ s)
 
 
@@ -427,7 +444,7 @@ def _custom_gradient(p, z):
 
 
 def _weighted_sums(p, z):
-    return ((p["weights"] * z).sum(axis=1),)
+    return (_row_sums(p["weights"] * z),)
 
 
 def _summed(from_stats) -> dict:
@@ -447,15 +464,32 @@ def _summed(from_stats) -> dict:
         count = np.arange(1, len(perm) + 1, dtype=np.float64)
         return values(p, [np.cumsum(s[perm], axis=0) for s in stats], count)
 
-    return {"mask_values": mask_values, "prefix_values": prefix_values}
+    def paired_values(p, stats, masks):
+        # row j, agent i: the sums of C_j without i are M_j @ s - M_ji s_i,
+        # those of C_j with i add s_i back.  With the agents on the last axis
+        # each row sum is one contiguous numpy sum, so a row's values do not
+        # depend on the rows beside it (BLAS's M @ s can)
+        m = masks.astype(np.float64)
+        count = m.sum(axis=1)[:, None] - m
+        with_, without = [], []
+        for s in stats:
+            s = np.moveaxis(s, 0, -1)  # (..., n)
+            inside = m.reshape(m.shape[:1] + (1,) * (s.ndim - 1) + m.shape[1:]) * s
+            rest = inside.sum(axis=-1, keepdims=True) - inside
+            without.append(np.moveaxis(rest, -1, 1))
+            with_.append(np.moveaxis(rest + s, -1, 1))
+        return values(p, with_, count + 1.0), values(p, without, count)
+
+    return {"mask_values": mask_values, "prefix_values": prefix_values,
+            "paired_values": paired_values}
 
 
 KINDS: dict[str, Kind] = {
     "lin": Kind(
-        evaluate=lambda p, z: float(z.sum(axis=1).mean()),
+        evaluate=lambda p, z: float(_row_sums(z).mean()),
         gradient=lambda p, z: np.full_like(z, 1.0 / z.shape[0]),
         closed_form=_lin_phi,
-        agent_stats=lambda p, z: (z.sum(axis=1),),
+        agent_stats=lambda p, z: (_row_sums(z),),
         **_summed(lambda p, s, count: s[0] / count),
     ),
     "heat": Kind(
@@ -466,7 +500,7 @@ KINDS: dict[str, Kind] = {
     ),
     "var": Kind(
         evaluate=_var_value, gradient=_var_gradient, closed_form=_var_phi,
-        agent_stats=lambda p, z: (z.sum(axis=1), z.sum(axis=1) ** 2),
+        agent_stats=lambda p, z: (_row_sums(z), _row_sums(z) ** 2),
         **_summed(lambda p, s, count: s[1] / count - (s[0] / count) ** 2),
     ),
     "gini": Kind(
@@ -482,7 +516,7 @@ KINDS: dict[str, Kind] = {
     ),
     "quadratic_cross": Kind(
         evaluate=_quadratic_value,
-        gradient=lambda p, z: 2.0 * p["diag"] * z + (p["coupling"] @ z.sum(axis=1))[:, None],
+        gradient=lambda p, z: 2.0 * p["diag"] * z + (p["coupling"] @ _row_sums(z))[:, None],
         required=("diag", "coupling"), agent_params={"diag": "rows", "coupling": "pairs"},
         check=_check_coupling,
     ),
@@ -574,9 +608,19 @@ class ValueFunction:
         """v(perm[:t]) for t = 1..n, the coalitions a permutation builds up."""
         return self._spec.prefix_values(self.params, stats, perm)
 
+    def paired_values(self, stats, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v(C_j + i), v(C_j - i)) for each row C_j of an (m, n) boolean
+        coalition matrix and each agent i, two (m, n) arrays; each row's values
+        depend on that row alone."""
+        return self._spec.paired_values(self.params, stats, masks)
+
     @property
     def has_closed_form(self) -> bool:
         return self._spec.closed_form is not None
+
+    @property
+    def has_paired_values(self) -> bool:
+        return self._spec.paired_values is not None
 
     def restrict(self, indices: Sequence[int]) -> "ValueFunction":
         """Restrict to a coalition by slicing the per-agent params; a kind

@@ -353,7 +353,11 @@ class TestClosedFormBaselines:
                for K in (500, 1000, 2000)}
         ref, coarse = (4 * mid[2000] - mid[1000]) / 3, (4 * mid[1000] - mid[500]) / 3
         scale = max(np.abs(ref).sum(), path_mass(f, z, res.baseline).sum())
-        assert np.abs(res.phi - ref).sum() <= 1e-8 * scale + np.abs(ref - coarse).sum()
+        # a subnormal has no relative precision: on a subnormal panel each
+        # midpoint term rounds the same way at every K, so the reference can
+        # sit ulps from the path integral while ref - coarse reads 0
+        tol = 1e-8 * scale + np.abs(ref - coarse).sum() + np.finfo(float).tiny
+        assert np.abs(res.phi - ref).sum() <= tol
 
     @pytest.mark.parametrize("baseline", BASELINE_CLASSES["any"])
     @given(data=st.data())

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import factorial
 
@@ -202,6 +203,19 @@ class TestExact:
         phi = baselines.exact_banzhaf(game)
         assert abs(phi.sum() - game.grand_value()) > 1e-6
 
+    def test_coalition_matrix_at_one_byte_per_cell(self):
+        n = 16
+        tracemalloc.start()
+        try:
+            bits = baselines._all_coalitions(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.dtype == bool and bits.shape == (1 << n, n)
+        assert np.array_equal(np.flatnonzero(bits[0b1011000000000101]), [0, 2, 12, 13, 15])
+        # the matrix, 1 MB, and the 4-byte codes it is unpacked from
+        assert peak <= 1.5 * bits.nbytes
+
     def test_guard(self):
         game = CoalitionGame(valuefn.linear_mean(), np.ones((21, 1)))
         with pytest.raises(InfeasibleError):
@@ -263,6 +277,62 @@ class TestSampled:
         game = CoalitionGame(valuefn.additive(W), z)
         est = baselines.sampled_banzhaf(game, 3, seed=8)
         assert est.values == pytest.approx((W * z).sum(axis=1), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["lin", "heat", "var", "additive", "softplus"])
+    def test_banzhaf_hook_matches_unhooked_path(self, kind, abs_gaussian, rng):
+        z = abs_gaussian(12, seed=41)
+        params = {"weights": rng.standard_normal((12, 3))} if kind in ("additive", "softplus") else {}
+        f = valuefn.by_name(kind, **params)
+        game = CoalitionGame(f, z)
+        assert game._paired
+        # custom has no hooks.  A weighted kind's weights fit only the whole
+        # population, so its wrapper plays under pin semantics: outsiders
+        # pinned at zero add nothing to the weighted sum, as under restrict
+        sem = "pin" if params else "restrict"
+        slow_game = CoalitionGame(valuefn.custom(f.evaluate), z, semantics=sem)
+        fast = baselines.sampled_banzhaf(game, 30, seed=6)
+        slow = baselines.sampled_banzhaf(slow_game, 30, seed=6)
+        assert fast.values == pytest.approx(slow.values, abs=1e-12)
+        assert fast.stderr == pytest.approx(slow.stderr, abs=1e-12)
+
+    def test_banzhaf_gini_matches_custom_wrapper(self, abs_gaussian):
+        # gini has mask values but no paired hook: its columns are toggled
+        z = np.round(abs_gaussian(10, seed=42), 1)  # with ties
+        fast = baselines.sampled_banzhaf(CoalitionGame(valuefn.gini(), z), 40, seed=7)
+        slow = baselines.sampled_banzhaf(
+            CoalitionGame(valuefn.custom(valuefn.gini().evaluate), z), 40, seed=7)
+        assert fast.values == pytest.approx(slow.values, abs=1e-12)
+        assert fast.stderr == pytest.approx(slow.stderr, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [valuefn.heat, valuefn.gini])
+    def test_banzhaf_independent_of_block_size(self, make, abs_gaussian, monkeypatch):
+        # at n = 9, D = 3: one row per block, 7 rows per block, one block
+        game = CoalitionGame(make(), abs_gaussian(9, seed=43))
+        results = []
+        for block in (1, 200, 1 << 30):
+            monkeypatch.setattr(baselines, "BANZHAF_BLOCK", block)
+            results.append(baselines.sampled_banzhaf(game, 50, seed=8))
+        for r in results[1:]:
+            assert r.values.tobytes() == results[0].values.tobytes()
+            assert r.stderr.tobytes() == results[0].stderr.tobytes()
+
+    def test_banzhaf_one_sample_has_nan_stderr(self, abs_gaussian):
+        est = baselines.sampled_banzhaf(CoalitionGame(valuefn.heat(), abs_gaussian(5)), 1, seed=0)
+        assert np.all(np.isfinite(est.values)) and np.all(np.isnan(est.stderr))
+
+    def test_banzhaf_memory_stays_near_the_mask(self, abs_gaussian):
+        # one shared (m, n) boolean draw, 2 MB here, and block temporaries of
+        # BANZHAF_BLOCK cells; a float64 (m, n) array would add 16 MB
+        n, m = 2000, 1000
+        game = CoalitionGame(valuefn.heat(), abs_gaussian(n, seed=44))
+        baselines.sampled_banzhaf(game, 2, seed=1)  # warm up
+        tracemalloc.start()
+        try:
+            baselines.sampled_banzhaf(game, m, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= m * n + 8 * 8 * baselines.BANZHAF_BLOCK
 
     def test_sample_count_validated(self, abs_gaussian):
         game = CoalitionGame(valuefn.heat(), abs_gaussian(4))

@@ -57,6 +57,8 @@ class TestEventRecord:
         {"ts": -(2**63) - 1},
         {"ts": 1.5},
         {"actor": 4},
+        {"ts": True},
+        {"kind": ["post"]},
     ])
     def test_wrong_types_rejected(self, fields):
         rec = panel.EventRecord(**{"ts": 1, "actor": "a", "kind": "post", **fields})
@@ -312,6 +314,15 @@ MALFORMED_LINES = [
     '"post"',
     "[" * 100000 + "]" * 100000,
 ]
+# lines an earlier reader coerced into events with int(ts), str(actor) and str(kind)
+COERCED_LINES = [
+    '{"ts": 150, "actor": null, "kind": "post"}',
+    '{"ts": 150, "actor": 4, "kind": "post"}',
+    '{"ts": true, "actor": "a", "kind": "post"}',
+    '{"ts": 1.9e2, "actor": "a", "kind": "post"}',
+    '{"ts": 150.0, "actor": "a", "kind": "post"}',
+    '{"ts": "150", "actor": "a", "kind": "post"}',
+]
 
 
 class TestJsonl:
@@ -330,7 +341,7 @@ class TestJsonl:
         assert bad == 2
         assert [e.actor for e in events] == ["a", "c"]
 
-    @pytest.mark.parametrize("line", MALFORMED_LINES)
+    @pytest.mark.parametrize("line", MALFORMED_LINES + COERCED_LINES)
     def test_malformed_line_counted(self, tmp_path, line):
         p = tmp_path / "events.jsonl"
         good = json.dumps({"ts": 100, "actor": "g", "kind": "post", "text": "hi"})
@@ -398,7 +409,7 @@ def reference_read(data: bytes):
             if not line:
                 continue
             obj = json.loads(line)
-            rec = panel.EventRecord(int(obj["ts"]), str(obj["actor"]), str(obj["kind"]),
+            rec = panel.EventRecord(obj["ts"], obj["actor"], obj["kind"],
                                     obj.get("text"), obj.get("target"))
             rec.validate()
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError):

@@ -108,6 +108,19 @@ class TestEvaluate:
             assert f.evaluate(tau * z) == pytest.approx(math.log1p(tau**3 * H))
 
 
+class TestRowSums:
+    @pytest.mark.parametrize("D", range(1, 17))
+    def test_bits_match_numpy_sum(self, D):
+        rng = np.random.default_rng(D)
+        z = rng.standard_normal((200, 3, D)) * 10.0 ** rng.integers(-300, 300, (200, 3, D))
+        z[rng.random(z.shape) < 0.3] = 0.0
+        z[rng.random(z.shape) < 0.3] = -0.0
+        z[:4, :] = -0.0  # rows of -0.0 sum to +0.0
+        for view in (z[:, 1], np.ascontiguousarray(z[:, 1]), z[:, 1, ::-1]):
+            assert valuefn._row_sums(view).tobytes() == view.sum(axis=1).tobytes()
+        assert valuefn._row_sums(z[0, 0]).tobytes() == z[0, 0].sum().tobytes()
+
+
 # vectors for the rank tests: heavy ties, signed zeros, any finite float, all tied
 RANK_ENTRIES = [st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                 st.floats(allow_nan=False, allow_infinity=False)]
@@ -349,6 +362,16 @@ class TestEveryKind:
         assert game.mask_values(masks) == pytest.approx(slow_masks, rel=1e-12, abs=tol)
         prefix = f.prefix_values(f.agent_stats(z), perm)
         assert prefix == pytest.approx(slow_prefix, rel=1e-12, abs=tol)
+        if game._paired:
+            with_, without = game.paired_values(masks)
+            agent = np.eye(n, dtype=bool)
+            slow_with = [[game.value(np.flatnonzero(row | agent[i])) for i in range(n)]
+                         for row in masks]
+            slow_without = [[game.value(np.flatnonzero(row & ~agent[i])) for i in range(n)]
+                            for row in masks]
+            tol = 1e-12 * (1.0 + np.abs(slow_with).max() + np.abs(slow_without).max())
+            assert with_ == pytest.approx(np.array(slow_with), rel=1e-12, abs=tol)
+            assert without == pytest.approx(np.array(slow_without), rel=1e-12, abs=tol)
 
     @pytest.mark.parametrize("name", list(valuefn.KINDS))
     def test_cli_offers_every_kind_it_can_supply(self, name, tmp_path, capsys):
