@@ -20,6 +20,7 @@ from .panel import FeaturePanel, TierPartition
 from .valuefn import ValueFunction, _as_features, _row_sums
 
 DEFAULT_K = 30
+# a macro change at most this share of max(|f(z)|, |f(z0)|) is rounding noise
 DEGENERATE_TOL = 1e-12
 
 BASELINE_KINDS = ("zero", "population_mean", "first_step", "custom_vector")
@@ -78,6 +79,9 @@ class AttributionResult:
     method: dict
     normalized: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
+    # max(|f(z)|, |f(z0)|), the values delta_v is the difference of; a result
+    # built without them is degenerate at delta_v = 0 only
+    value_scale: float = 0.0
 
     @property
     def n_agents(self) -> int:
@@ -94,8 +98,10 @@ def _finite(values, what: str):
     return values
 
 
-def _result(phi, delta_v, z0, method, **meta) -> AttributionResult:
-    phi, delta_v = np.asarray(phi, dtype=np.float64), float(delta_v)
+def _result(phi, values, z0, method, **meta) -> AttributionResult:
+    """The result of phi, with delta_v the difference of values = (f(z), f(z0))."""
+    v, v0 = map(float, values)
+    phi, delta_v = np.asarray(phi, dtype=np.float64), v - v0
     what = f"{method['f']} attribution ({method['name']})"
     _finite(phi, what)
     _finite(delta_v, what)
@@ -104,6 +110,7 @@ def _result(phi, delta_v, z0, method, **meta) -> AttributionResult:
         delta_v=delta_v,
         baseline=z0,
         method=method,
+        value_scale=max(abs(v), abs(v0)),
         metadata=meta,
     )
 
@@ -173,14 +180,14 @@ def _attribute(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: 
     elif method != "auto" or not f.covers(z0):
         return _midpoint(f, z, z0, K, method == "permuted_path", seed)
     # analytic from zero, or auto where the closed form covers z0
-    phi, delta, meta = f.closed_form(z, z0)
+    phi, values, meta = f.closed_form(z, z0)
     if z0.ndim == 2:
         named = {"name": "closed_form", "baseline": "per_agent", "f": f.kind}
     elif z0.any():
         named = {"name": "closed_form", "baseline": "shared_row", "f": f.kind}
     else:
         named = {"name": "analytic", "f": f.kind}
-    return _result(phi, delta, z0, named, **meta)
+    return _result(phi, values, z0, named, **meta)
 
 
 def _midpoint(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, permuted: bool,
@@ -220,16 +227,23 @@ def _midpoint(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, permuted:
             phi[i] = float(delta[i] @ (acc_i / K))
         method = {"name": "permuted_path", "K": K, "seed": seed, "f": f.kind}
 
-    dv = f.evaluate(z) - f.evaluate(z0_full)
-    return _result(phi, dv, z0, method)
+    return _result(phi, (f.evaluate(z), f.evaluate(z0_full)), z0, method)
 
 
 # ---- normalization and aggregation -----------------------------------------
 
 
+def degenerate(delta_v, value_scale):
+    """Whether a macro change is too small to share out: |delta_v| at most
+    DEGENERATE_TOL times max(|f(z)|, |f(z0)|), the values it is the
+    difference of, so that it is zero or rounding noise.  Elementwise on
+    arrays."""
+    return np.abs(delta_v) <= DEGENERATE_TOL * value_scale
+
+
 def normalize(result: AttributionResult) -> AttributionResult:
     """Fill normalized shares phi / delta_v; they sum to one by construction."""
-    if abs(result.delta_v) <= DEGENERATE_TOL:
+    if degenerate(result.delta_v, result.value_scale):
         raise DegenerateChangeError(
             f"degenerate macro change delta_v={result.delta_v!r}; shares undefined"
         )
@@ -242,6 +256,7 @@ class TemporalAttributionResult:
     delta_v: np.ndarray  # (n_steps,)
     baseline: np.ndarray  # as in AttributionResult, shared by every step
     method: dict
+    value_scale: np.ndarray  # (n_steps,), as in AttributionResult
 
     def agent_totals(self) -> np.ndarray:
         return self.phi.sum(axis=1)
@@ -274,14 +289,14 @@ def attribute_temporal(
     # population_mean is the panel-wide mean; first_step is the step-0 slice
     base = _resolve_baseline(baseline, panel.features.reshape(-1, D), panel.step_slice(0), n)
     phi = np.empty((n, T))
-    dv = np.empty(T)
+    dv, scale = np.empty(T), np.empty(T)
     last_method = {}
     for t in range(T):
         res = _attribute(f, panel.step_slice(t), base, method, K, None)
         phi[:, t] = res.phi
-        dv[t] = res.delta_v
+        dv[t], scale[t] = res.delta_v, res.value_scale
         last_method = res.method
-    return TemporalAttributionResult(phi, dv, base, last_method)
+    return TemporalAttributionResult(phi, dv, base, last_method, scale)
 
 
 def group_share(

@@ -179,7 +179,7 @@ def cmd_attribute(args) -> int:
         for t in range(pn.n_steps):
             dv = float(res.delta_v[t])
             phi = res.phi[:, t]
-            norm = phi / dv if abs(dv) > attribution.DEGENERATE_TOL else ""
+            norm = "" if attribution.degenerate(dv, res.value_scale[t]) else phi / dv
             panel.write_csv_rows(fh, ids, [str(t), phi, norm])
     residuals = np.abs(res.step_totals() - res.delta_v)
     summary = {

@@ -8,6 +8,7 @@ resonance (log1p topic-matching replies received in the step).
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import json
@@ -18,7 +19,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,24 +35,50 @@ DEFAULT_CUT_FRACTIONS = (0.01, 0.10, 1.00)
 _MAGIC = b"ASP1"
 
 
-def _validate(ts, actor, kind, text, target) -> None:
-    """Raise ValueError unless the fields make a valid event."""
+def _check_fields(ts, actor, kind, text, target) -> None:
+    """Raise ValueError unless the fields make a valid event, leaving out
+    what :func:`_agent_id_ok` and :func:`_one_line` decide of the actor and
+    target strings: that is decided once per distinct string."""
     if not isinstance(ts, _TS_TYPES) or isinstance(ts, bool) or not _INT64_MIN <= ts <= _INT64_MAX:
         raise ValueError(f"ts {ts!r} is not an int64 timestamp")
-    # agent ids are newline-delimited UTF-8 in the panel file
-    if not isinstance(actor, str) or not actor or "\n" in actor:
-        # an empty actor could never be a follow or reply target
-        raise ValueError(f"actor {actor!r} is not a nonempty one-line string")
-    if not actor.isascii():
-        actor.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
+    if not isinstance(actor, str):
+        raise ValueError(f"actor {actor!r} is not a string")
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown event kind {kind!r}")
     if not isinstance(text, _OPTIONAL_STR):
         raise ValueError(f"text {text!r} is neither a string nor null")
-    if not isinstance(target, _OPTIONAL_STR) or (target and "\n" in target):
-        raise ValueError(f"target {target!r} is neither a one-line string nor null")
+    if not isinstance(target, _OPTIONAL_STR):
+        raise ValueError(f"target {target!r} is neither a string nor null")
     if kind in ("follow", "reply") and not target:
         raise ValueError(f"{kind} event requires a target")
+
+
+def _one_line(name: str) -> bool:
+    # agent ids are newline-delimited in the panel file
+    return "\n" not in name
+
+
+def _agent_id_ok(name: str) -> bool:
+    """A nonempty one-line string that UTF-8 encodes: an id a panel can save.
+    An empty actor could never be a follow or reply target."""
+    if not name or "\n" in name:
+        return False
+    if name.isascii():
+        return True
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate has no encoding
+        return False
+    return True
+
+
+def _validate(ts, actor, kind, text, target) -> None:
+    """Raise ValueError unless the fields make a valid event."""
+    _check_fields(ts, actor, kind, text, target)
+    if not _agent_id_ok(actor):
+        raise ValueError(f"actor {actor!r} is not a nonempty one-line UTF-8 string")
+    if target and not _one_line(target):
+        raise ValueError(f"target {target!r} is not a one-line string")
 
 
 class EventRecord(NamedTuple):
@@ -218,17 +245,22 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 # ---- ingestion -----------------------------------------------------------
 
+INGEST_CHUNK_EVENTS = 1 << 16  # events read before they are counted; bounds the strings held
 
-# An event stream as five parallel lists (ts, actor, kind, text, target),
-# one entry per valid event.
-_Columns = tuple[list, list, list, list, list]
+# A chunk of an event stream as five parallel sequences (ts, actor, kind,
+# text, target), one entry per event that passed _check_fields.
+_Columns = tuple[Sequence, Sequence, Sequence, Sequence, Sequence]
 
 
-def _read_event_columns(path) -> tuple[_Columns, int]:
-    """The valid events of a JSONL file as columns, and the count of
-    malformed lines (see :func:`read_events_jsonl`)."""
+def _read_event_chunks(path, flush: Callable[[_Columns], int]) -> int:
+    """Decode and check each line of a JSONL file (see :func:`read_events_jsonl`),
+    handing the events to ``flush`` as columns, INGEST_CHUNK_EVENTS at a
+    time.  ``flush`` returns how many of them it found malformed; the result
+    is the count of malformed lines."""
     decode = json.JSONDecoder().raw_decode
+    chunk = INGEST_CHUNK_EVENTS
     cols = [], [], [], [], []
+    ts_col = cols[0]
     add_ts, add_actor, add_kind, add_text, add_target = (c.append for c in cols)
     bad = 0
     with open(path, "rb") as fh:
@@ -242,7 +274,7 @@ def _read_event_columns(path) -> tuple[_Columns, int]:
                     raise ValueError("trailing data after the JSON value")
                 ts, actor, kind = obj["ts"], obj["actor"], obj["kind"]
                 text, target = obj.get("text"), obj.get("target")
-                _validate(ts, actor, kind, text, target)
+                _check_fields(ts, actor, kind, text, target)
             except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
                 bad += 1
                 continue
@@ -251,7 +283,13 @@ def _read_event_columns(path) -> tuple[_Columns, int]:
             add_kind(kind)
             add_text(text)
             add_target(target)
-    return cols, bad
+            if len(ts_col) == chunk:
+                bad += flush(cols)
+                for c in cols:
+                    c.clear()
+    if ts_col:
+        bad += flush(cols)
+    return bad
 
 
 def _warn_malformed(bad: int) -> None:
@@ -264,25 +302,21 @@ def read_events_jsonl(path) -> tuple[list[EventRecord], int]:
     """Parse a JSONL event file; malformed lines are skipped and counted.
 
     A line is malformed when it is not one JSON object (trailing data
-    included), lacks ``ts``/``actor``/``kind``, has a ``ts`` that is not an
-    int64 integer, fails ``EventRecord.validate``, or is not UTF-8.  Lines
-    end at a newline byte.
+    included), lacks ``ts``/``actor``/``kind``, has a ``ts`` that is not a
+    JSON integer in int64, fails ``EventRecord.validate``, or is not UTF-8.
+    Lines end at a newline byte.
     """
-    cols, bad = _read_event_columns(path)
+    events = []
+
+    def keep(cols: _Columns) -> int:
+        held = len(events)
+        events.extend(ev for ev in itertools.starmap(EventRecord, zip(*cols))
+                      if _agent_id_ok(ev.actor) and (not ev.target or _one_line(ev.target)))
+        return len(cols[0]) - (len(events) - held)
+
+    bad = _read_event_chunks(path, keep)
     _warn_malformed(bad)
-    return list(itertools.starmap(EventRecord, zip(*cols))), bad
-
-
-def _matches(text: Optional[str], keywords_lower: list[str]) -> bool:
-    if not text:
-        return False
-    return any(map(text.lower().__contains__, keywords_lower))
-
-
-def _pair_counts(agent: np.ndarray, bucket: np.ndarray, n: int, width: int) -> np.ndarray:
-    """(n, width) float64 table counting each (agent, bucket) pair."""
-    flat = np.bincount(agent * width + bucket, minlength=n * width)
-    return flat.reshape(n, width).astype(np.float64)
+    return events, bad
 
 
 def _n_steps(window: tuple[int, int], step: int) -> int:
@@ -294,87 +328,148 @@ def _n_steps(window: tuple[int, int], step: int) -> int:
     return (end - start) // step
 
 
-def _count_events(cols: _Columns, topic_keywords, window, step, n_steps,
-                  follower_snapshot, cumulative, exclude_pattern):
-    """The feature panel of validated event columns (see :func:`ingest_events`),
-    and the counts of events by an excluded actor and of non-follow events
-    outside the window.
+class _EventCounts:
+    """The counts behind :func:`ingest_events`, taken one chunk of events at
+    a time, so that memory grows with the distinct names, not the events.
 
-    Events are counted per (active agent, bucket): topical posts+reposts,
-    topical replies received, and follows by the first bucket whose start is
-    after them.  With a follower snapshot, follows before the window start
-    are dropped.
+    Each distinct actor or target string gets a code when first seen, and is
+    validated and matched against the exclude pattern once.  Its row of
+    ``table`` counts, in 3T + 1 columns: its topical posts+reposts per
+    bucket, the topical replies it received per bucket, and the follows it
+    gained by the first bucket whose start is after them (column T of that
+    block lies past the last start, which no bucket counts).  With a
+    follower snapshot, follows before the window start are dropped.  The
+    codes follow the stream order; the panel orders its rows by name.
     """
-    kw = [k.lower() for k in topic_keywords]
+
+    def __init__(self, topic_keywords, window, step, follower_snapshot, cumulative,
+                 exclude_pattern):
+        T = self.n_steps = _n_steps(window, step)
+        try:
+            self.exclude = re.compile(exclude_pattern) if exclude_pattern else None
+        except re.error as exc:
+            raise AspanelError(
+                f"exclude pattern {exclude_pattern!r} is not a valid regex ({exc})") from None
+        self.keywords = [k.lower() for k in topic_keywords]
+        self.window, self.snapshot, self.cumulative = window, follower_snapshot, cumulative
+        # `pos` counts the bucket starts at or before each event, so an in-window
+        # event falls in bucket pos - 1 and a follow counts from bucket pos on.
+        # Every int64 ts is past a start below int64 and before one above it.
+        starts = (window[0] + t * step for t in range(T))
+        self.bucket_starts = np.array([max(b, _INT64_MIN) for b in starts if b <= _INT64_MAX],
+                                      dtype=np.int64)
+        # name -> code, the next code for a name not seen before; code 0 is "no target"
+        self.code = collections.defaultdict(itertools.count(1).__next__, {None: 0})
+        # per code: a valid actor string, a valid target string, an actor the
+        # exclude pattern keeps, an actor with an event in the window
+        self.actor_ok = np.zeros(1, dtype=bool)
+        self.target_ok = np.ones(1, dtype=bool)
+        self.kept = np.zeros(1, dtype=bool)
+        self.active = np.zeros(1, dtype=bool)
+        self.table = np.zeros((1, 3 * T + 1), dtype=np.int64)
+        # valid events; of them, by an excluded actor; non-follow ones outside the window
+        self.records = self.excluded = self.out_of_window = 0
+
+    def _register(self, base: int) -> None:
+        """Decide what the names given codes from ``base`` on may be."""
+        size = len(self.code)
+        new = list(itertools.islice(reversed(self.code), size - base))[::-1]
+        if size > len(self.active):
+            cap = max(size, len(self.active) * 3 // 2)
+            for name in ("actor_ok", "target_ok", "kept", "active", "table"):
+                old = getattr(self, name)
+                grown = np.zeros((cap, *old.shape[1:]), dtype=old.dtype)
+                grown[:len(old)] = old
+                setattr(self, name, grown)
+        ok = [_agent_id_ok(a) for a in new]
+        self.actor_ok[base:size] = ok
+        self.target_ok[base:size] = [_one_line(a) for a in new]
+        if self.exclude:
+            ok = [k and self.exclude.search(a) is None for a, k in zip(new, ok)]
+        self.kept[base:size] = ok
+
+    def add(self, cols: _Columns) -> int:
+        """Count a chunk of events that passed _check_fields; return how many
+        of them were malformed for their actor or target string."""
+        ts_list, actors, kinds, texts, targets = cols
+        code = self.code
+        base, m = len(code), len(ts_list)
+        actor = np.fromiter(map(code.__getitem__, actors), np.int64, m)
+        target = np.fromiter(map(code.__getitem__, targets), np.int64, m)
+        if len(code) > base:
+            self._register(base)
+        kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, m)
+        ts = np.array(ts_list, dtype=np.int64)
+        start, end = self.window
+        in_window = (ts >= start) & (ts < end)
+        is_follow = kind == _KIND_CODE["follow"]
+
+        valid = self.actor_ok[actor] & self.target_ok[target]
+        keeps = valid & self.kept[actor]  # per event: valid, and its actor is not excluded
+        n_valid = int(np.count_nonzero(valid))
+        self.records += n_valid
+        self.excluded += n_valid - int(np.count_nonzero(keeps))
+        self.out_of_window += int(np.count_nonzero(valid & ~in_window & ~is_follow))
+        self.active[actor[keeps & in_window]] = True
+
+        kw = self.keywords
+
+        def topical(rows: np.ndarray) -> np.ndarray:
+            """The rows whose text contains a keyword, case-insensitively."""
+            picked = map(texts.__getitem__, rows.tolist())
+            hits = [bool(t) and any(map(t.lower().__contains__, kw)) for t in picked]
+            return rows[np.array(hits, dtype=bool)]
+
+        # only a kept actor can be active, so replies and follows to any other
+        # target never reach the panel
+        is_post = (kind == _KIND_CODE["post"]) | (kind == _KIND_CODE["repost"])
+        posts = topical(np.flatnonzero(keeps & in_window & is_post))
+        reply_to_kept = (kind == _KIND_CODE["reply"]) & self.kept[target]
+        replies = topical(np.flatnonzero(valid & in_window & reply_to_kept))
+        follows = np.flatnonzero(keeps & is_follow & self.kept[target])
+        if self.snapshot is not None:
+            follows = follows[ts[follows] >= start]
+
+        T = self.n_steps
+        width = 3 * T + 1
+        pos = np.searchsorted(self.bucket_starts, ts, side="right")
+        cells = np.concatenate([actor[posts] * width + (pos[posts] - 1),
+                                target[replies] * width + (pos[replies] + (T - 1)),
+                                target[follows] * width + (pos[follows] + 2 * T)])
+        # add.at costs O(chunk); a bincount over the whole table would cost O(names x T)
+        np.add.at(self.table.reshape(-1), cells, 1)
+        return m - n_valid
+
+    def panel(self) -> FeaturePanel:
+        """The active agents, sorted by name, and their counts as features."""
+        names = list(self.code)
+        rows = sorted(np.flatnonzero(self.active).tolist(), key=names.__getitem__)
+        if not rows:
+            raise EmptyPanelError("no active agents after filtering (empty panel)")
+        ids = [names[r] for r in rows]
+        T = self.n_steps
+        counts = self.table[rows].astype(np.float64)
+        activity, resonance = counts[:, :T], counts[:, T:2 * T]
+        reach = np.cumsum(counts[:, 2 * T:3 * T], axis=1)
+        if self.snapshot is not None:
+            reach += np.array([self.snapshot.get(a, 0) for a in ids], dtype=np.float64)[:, None]
+        if self.cumulative:
+            activity = np.cumsum(activity, axis=1)
+            resonance = np.cumsum(resonance, axis=1)
+
+        feats = np.empty((len(ids), T, 3))
+        feats[:, :, 0] = np.log1p(reach)
+        feats[:, :, 1] = np.log1p(activity)
+        feats[:, :, 2] = np.log1p(resonance)
+        return FeaturePanel(feats, ids)
+
+
+def _fields_ok(ev) -> bool:
     try:
-        excl = re.compile(exclude_pattern) if exclude_pattern else None
-    except re.error as exc:
-        raise AspanelError(f"exclude pattern {exclude_pattern!r} is not a valid regex ({exc})") from None
-    ts_list, actors, kinds, texts, targets = cols
-    start, end = window
-    m = len(ts_list)
-    ts = np.array(ts_list, dtype=np.int64)
-    kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, m)
-    in_window = (ts >= start) & (ts < end)
-
-    # every actor by sorted name; code len(names) stands for a non-actor target
-    names = sorted(set(actors))
-    code = {a: i for i, a in enumerate(names)}
-    actor = np.fromiter(map(code.__getitem__, actors), np.int64, m)
-    target = np.fromiter(map(code.get, targets, itertools.repeat(len(names))), np.int64, m)
-    kept = np.ones(len(names), dtype=bool)
-    if excl:
-        kept[:] = [excl.search(a) is None for a in names]
-    keeps = kept[actor]  # per event: its actor is not excluded
-    active = np.zeros(len(names) + 1, dtype=bool)
-    active[actor[in_window & keeps]] = True
-    ids = list(itertools.compress(names, active.tolist()))
-    if not ids:
-        raise EmptyPanelError("no active agents after filtering (empty panel)")
-    n = len(ids)
-    # panel row per code, -1 for an agent that is not active
-    row = np.where(active, np.cumsum(active) - 1, -1)
-    actor_row, target_row = row[actor], row[target]
-
-    # `pos` counts the bucket starts at or before each event, so an in-window
-    # event falls in bucket pos - 1 and a follow counts from bucket pos on.
-    # Every int64 ts is past a start below int64 and before one above it.
-    starts = (start + t * step for t in range(n_steps))
-    bucket_starts = np.array([max(b, _INT64_MIN) for b in starts if b <= _INT64_MAX],
-                             dtype=np.int64)
-    pos = np.searchsorted(bucket_starts, ts, side="right")
-
-    def topical(rows: np.ndarray) -> np.ndarray:
-        return rows[np.array([_matches(texts[j], kw) for j in rows.tolist()], dtype=bool)]
-
-    is_follow = kind == _KIND_CODE["follow"]
-    is_post = (kind == _KIND_CODE["post"]) | (kind == _KIND_CODE["repost"])
-    posts = topical(np.flatnonzero(in_window & is_post & (actor_row >= 0)))
-    replies = topical(np.flatnonzero(in_window & (kind == _KIND_CODE["reply"]) & (target_row >= 0)))
-
-    # follow events targeting an active agent from a kept actor; one at or
-    # after the last bucket start lands in column T, which no bucket counts
-    follows = np.flatnonzero(is_follow & (target_row >= 0) & keeps)
-    if follower_snapshot is not None:
-        follows = follows[ts[follows] >= start]
-
-    activity = _pair_counts(actor_row[posts], pos[posts] - 1, n, n_steps)
-    resonance = _pair_counts(target_row[replies], pos[replies] - 1, n, n_steps)
-    gained = _pair_counts(target_row[follows], pos[follows], n, n_steps + 1)
-    reach = np.cumsum(gained[:, :n_steps], axis=1)
-    if follower_snapshot is not None:
-        reach += np.array([follower_snapshot.get(a, 0) for a in ids], dtype=np.float64)[:, None]
-    if cumulative:
-        activity = np.cumsum(activity, axis=1)
-        resonance = np.cumsum(resonance, axis=1)
-
-    feats = np.empty((n, n_steps, 3))
-    feats[:, :, 0] = np.log1p(reach)
-    feats[:, :, 1] = np.log1p(activity)
-    feats[:, :, 2] = np.log1p(resonance)
-    counters = {"excluded": int(np.count_nonzero(~keeps)),
-                "out_of_window": int(np.count_nonzero(~in_window & ~is_follow))}
-    return FeaturePanel(feats, ids), counters
+        _check_fields(*ev)
+    except ValueError:
+        return False
+    return True
 
 
 def ingest_events(
@@ -392,21 +487,21 @@ def ingest_events(
     stream order never matters.  Agents with zero events inside the window
     are excluded.  When a follower snapshot is given it defines the count at
     window start and pre-window follow events are ignored; otherwise
-    followers accumulate from all observed follow events.
+    followers accumulate from all observed follow events.  Invalid records
+    are skipped with a warning.  The stream is read INGEST_CHUNK_EVENTS
+    records at a time, so a generator is never held whole.
     """
-    n_steps = _n_steps(window, step)
-    valid, bad = [], 0
-    for ev in stream:
-        try:
-            ev.validate()
-        except ValueError:
-            bad += 1
-            continue
-        valid.append(ev)
+    counts = _EventCounts(topic_keywords, window, step, follower_snapshot, cumulative,
+                          exclude_pattern)
+    bad = 0
+    events = iter(stream)
+    while chunk := list(itertools.islice(events, INGEST_CHUNK_EVENTS)):
+        valid = list(filter(_fields_ok, chunk))
+        bad += len(chunk) - len(valid)
+        if valid:
+            bad += counts.add(tuple(zip(*valid)))
     _warn_malformed(bad)
-    cols = tuple(map(list, zip(*valid))) if valid else ([], [], [], [], [])
-    return _count_events(cols, topic_keywords, window, step, n_steps,
-                         follower_snapshot, cumulative, exclude_pattern)[0]
+    return counts.panel()
 
 
 def ingest_jsonl(
@@ -418,19 +513,20 @@ def ingest_jsonl(
     cumulative: bool = False,
     exclude_pattern: Optional[str] = None,
 ) -> tuple[FeaturePanel, dict[str, int]]:
-    """:func:`read_events_jsonl` then :func:`ingest_events`, with each line
-    decoded and validated once and no :class:`EventRecord` built.
+    """:func:`read_events_jsonl` then :func:`ingest_events`, counting each
+    chunk of lines as it is read, with no :class:`EventRecord` built.
 
     Returns the panel and its record counters: ``malformed`` lines,
     ``records`` (valid events), ``excluded`` (valid events whose actor
     matches ``exclude_pattern``) and ``out_of_window`` (valid non-follow
     events outside the window).
     """
-    cols, bad = _read_event_columns(path)
+    counts = _EventCounts(topic_keywords, window, step, follower_snapshot, cumulative,
+                          exclude_pattern)
+    bad = _read_event_chunks(path, counts.add)
     _warn_malformed(bad)
-    pn, counters = _count_events(cols, topic_keywords, window, step, _n_steps(window, step),
-                                 follower_snapshot, cumulative, exclude_pattern)
-    return pn, {"malformed": bad, "records": len(cols[0]), **counters}
+    return counts.panel(), {"malformed": bad, "records": counts.records,
+                            "excluded": counts.excluded, "out_of_window": counts.out_of_window}
 
 
 # ---- tier partitioning ---------------------------------------------------

@@ -164,9 +164,10 @@ class Kind:
 
     evaluate: Callable
     gradient: Callable
-    # (params, z, z0) -> (phi, delta_v, metadata): the exact path integral from
-    # z0, a length-D row shared by every agent or an n x D array, as
-    # attribution._resolve_baseline returns it
+    # (params, z, z0) -> (phi, (f(z), f(z0)), metadata): the exact path
+    # integral from z0, a length-D row shared by every agent or an n x D
+    # array, as attribution._resolve_baseline returns it, and the values whose
+    # difference delta_v is
     closed_form: Optional[Callable] = None
     covers: str = "any"  # baselines closed_form integrates: "any" | "shared_row"
     # (params, z, z0): raises AspanelError where the straight path from the
@@ -193,7 +194,7 @@ class Kind:
 
 def _lin_phi(p, z, z0):
     g, g0 = _row_sums(z), _row_sums(z0)
-    return (g - g0) / len(g), float(g.mean() - g0.mean()), {}
+    return (g - g0) / len(g), (float(g.mean()), float(g0.mean())), {}
 
 
 def _heat_value(p, z) -> float:
@@ -290,7 +291,8 @@ def _heat_phi(p, z, z0):
         # the gradient is the same row for every agent, integrated once
         m0, m1, roots = _heat_path(p, z, z0)
         weights = _heat_path_weights(m0, m1, roots)
-        return (z - z0) @ weights / n, float(np.log1p(np.prod(m1)) - np.log1p(np.prod(m0))), {}
+        values = float(np.log1p(np.prod(m1))), float(np.log1p(np.prod(m0)))
+        return (z - z0) @ weights / n, values, {}
     sums = z.sum(axis=0)
     m1 = sums / n  # z.mean(axis=0), bit for bit
     _heat_check_path([1.0 + float(np.prod(m1))])  # q(tau) = 1 + tau^D prod(m1) is monotone
@@ -302,11 +304,11 @@ def _heat_phi(p, z, z0):
     zero = np.flatnonzero(sums == 0)
     if len(zero) == 1:
         k = zero[0]
-        return z[:, k] * (np.prod(np.delete(sums, k) / n) / (n * D)), val, {}
+        return z[:, k] * (np.prod(np.delete(sums, k) / n) / (n * D)), (val, 0.0), {}
     shares = np.zeros_like(z)
     nonzero = sums != 0
     shares[:, nonzero] = z[:, nonzero] / sums[nonzero]
-    return _row_sums(shares) * (val / D), val, {}
+    return _row_sums(shares) * (val / D), (val, 0.0), {}
 
 
 def _var_value(p, z) -> float:
@@ -327,7 +329,7 @@ def _var_phi(p, z, z0):
     g, g0 = _row_sums(z), _row_sums(z0)
     gbar, g0bar = g.mean(), g0.mean()
     phi = (g - g0) * ((g - gbar) - (g0bar - g0)) / len(g)
-    return phi, float(np.mean((g - gbar) ** 2) - ((g0 - g0bar) ** 2).mean()), {}
+    return phi, (float(np.mean((g - gbar) ** 2)), float(((g0 - g0bar) ** 2).mean())), {}
 
 
 def _gini_value(p, z) -> float:
@@ -349,12 +351,12 @@ def _gini_gradient(p, z):
 def _gini_phi(p, z, z0):
     # From a shared row z0 every g_i moves as (1 - tau) sum(z0) + tau g_i, so
     # the ranks hold along the path.  The rank weights sum to zero and
-    # f(z0) = 0, hence delta_v = sum(phi).
+    # f(z0) = 0, hence f(z) = delta_v = sum(phi).
     g = _row_sums(z)
     n = len(g)
     ranks, ties = gini_ranks(g)
     phi = (g - z0.sum()) * (2.0 * ranks - n - 1.0) / n**2
-    return phi, float(phi.sum()), {"gini_ties": ties}
+    return phi, (float(phi.sum()), 0.0), {"gini_ties": ties}
 
 
 # elements of the pairwise |g_s - g_j| block that _gini_prefix_values holds at once
@@ -577,9 +579,9 @@ class ValueFunction:
     def gradient(self, features) -> np.ndarray:
         return self._spec.gradient(self.params, self._check(_as_features(features)))
 
-    def closed_form(self, z: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, float, dict]:
-        """(phi, delta_v, metadata) of the path integral from baseline z0, a
-        resolved baseline (see :class:`Kind`); z is an array that
+    def closed_form(self, z: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, tuple, dict]:
+        """(phi, (f(z), f(z0)), metadata) of the path integral from baseline
+        z0, a resolved baseline (see :class:`Kind`); z is an array that
         :func:`_as_features` accepted."""
         return self._spec.closed_form(self.params, self._check(z), z0)
 

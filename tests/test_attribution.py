@@ -230,6 +230,20 @@ class TestDispatchAndNormalize:
         with pytest.raises(DegenerateChangeError):
             attribution.normalize(res)
 
+    def test_tiny_panel_change_is_not_degenerate(self, abs_gaussian):
+        # delta_v = 7.8e-17 here is all of f(z): the tolerance scales with the values
+        res = attribution.attribute(valuefn.variance(), abs_gaussian(50) * 1e-8)
+        assert 0 < res.delta_v < 1e-15
+        assert attribution.normalize(res).normalized.sum() == pytest.approx(1.0, abs=1e-12)
+        assert res.value_scale == res.delta_v
+
+    def test_rounding_noise_change_is_degenerate(self):
+        # f(z) and f(z0) are both 0.15; their difference is one rounding error
+        res = attribution.attribute(valuefn.linear_mean(), [[0.1], [0.2]], np.array([0.15]))
+        assert 0 < abs(res.delta_v) < 1e-16
+        with pytest.raises(DegenerateChangeError):
+            attribution.normalize(res)
+
 
 # the baseline classes of each value of valuefn.Kind.covers
 BASELINE_CLASSES = {"shared_row": ("zero", "population_mean", "custom_vector"),

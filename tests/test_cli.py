@@ -290,14 +290,17 @@ class TestAttribute:
 AWKWARD_IDS = ["a,b", 'q"x', " sp", "a\rb", ""]
 
 
-def reference_attribute_csv(path, pn, res):
-    """The per-row writer the bulk `attribute` writer replaced."""
+def reference_attribute_csv(path, pn, res, f):
+    """The per-row writer the bulk `attribute` writer replaced; phi_norm is
+    blank where |delta_v| <= DEGENERATE_TOL * max(|f(z)|, |f(z0)|)."""
+    f0 = f.evaluate(np.broadcast_to(res.baseline, pn.step_slice(0).shape))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["agent_id", "step", "phi", "phi_norm"])
         for t in range(pn.n_steps):
             dv = float(res.delta_v[t])
-            norm_ok = abs(dv) > attribution.DEGENERATE_TOL
+            scale = max(abs(f.evaluate(pn.step_slice(t))), abs(f0))
+            norm_ok = abs(dv) > attribution.DEGENERATE_TOL * scale
             for i, aid in enumerate(pn.agent_ids):
                 phi = float(res.phi[i, t])
                 w.writerow([aid, t, repr(phi), repr(phi / dv) if norm_ok else ""])
@@ -316,7 +319,8 @@ def reference_panel_csv(path, pn):
 def awkward_panel(path, n, n_steps=3):
     """A synthetic panel whose first ids need CSV quoting, whose step 1 is all
     zeros (lin has delta_v = 0 there) and whose step 2, if any, is scaled
-    down so that lin's delta_v is nonzero but within DEGENERATE_TOL."""
+    down so that lin's delta_v is below DEGENERATE_TOL but not degenerate,
+    being all of f(z)."""
     feats = panel.generate_synthetic(panel.SyntheticPanelSpec(
         n_agents=n, n_steps=n_steps, feature_law="pareto_reach", seed=11)).features.copy()
     feats[:, 1] = 0.0
@@ -338,11 +342,13 @@ class TestCsvBytes:
                     "--method", method, "--out", str(out), "--out-dir", str(tmp_path)]) == 0
         res = attribution.attribute_temporal(valuefn.by_name(f), pn,
                                              attribution.BaselineSpec(baseline), method)
-        reference_attribute_csv(tmp_path / "ref.csv", pn, res)
+        reference_attribute_csv(tmp_path / "ref.csv", pn, res, valuefn.by_name(f))
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        if f == "lin":  # blank phi_norm at delta_v = 0 and at a tiny delta_v
+        if f == "lin":  # phi_norm blank at delta_v = 0, written at a tiny delta_v of tiny values
             assert b'\r\n"a,b",1,0.0,\r\n' in out.read_bytes()
             assert 0 < abs(res.delta_v[2]) <= attribution.DEGENERATE_TOL
+            with open(out, newline="") as fh:
+                assert all(row["phi_norm"] for row in csv.DictReader(fh) if row["step"] == "2")
 
     def test_ingest_csv_matches_per_row_writer(self, tmp_path):
         p = tmp_path / "events.jsonl"
@@ -388,7 +394,7 @@ class TestCsvBytes:
         assert run(["attribute", str(tmp_path / "p.asp"), "--f", "lin",
                     "--out", str(out), "--out-dir", str(tmp_path)]) == 0
         res = attribution.attribute_temporal(valuefn.by_name("lin"), pn)
-        reference_attribute_csv(tmp_path / "ref.csv", pn, res)
+        reference_attribute_csv(tmp_path / "ref.csv", pn, res, valuefn.by_name("lin"))
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

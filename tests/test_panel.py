@@ -6,6 +6,7 @@ import struct
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -266,6 +267,19 @@ def ingest_cases(draw):
 @given(case=ingest_cases(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_ingest_equals_per_event_recount(case, data):
+    check_ingest_equals_recount(case, data)
+
+
+# the drawn streams hold at most 40 events, so only small chunks split them
+@pytest.mark.parametrize("chunk", [1, 3])
+@given(case=ingest_cases(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_ingest_equals_per_event_recount_in_small_chunks(chunk, case, data):
+    with mock.patch.object(panel, "INGEST_CHUNK_EVENTS", chunk):
+        check_ingest_equals_recount(case, data)
+
+
+def check_ingest_equals_recount(case, data):
     snapshot = data.draw(st.dictionaries(
         st.sampled_from(AGENTS + ("nobody",)), st.integers(0, 9), max_size=3))
     shuffled = data.draw(st.permutations(case["stream"]))
@@ -298,6 +312,50 @@ def test_window_past_int64_edges(start):
     pn = panel.ingest_events(**case)
     assert pn.agent_ids == ids and len(ids) >= 2
     assert np.array_equal(pn.features, feats)
+
+
+# ---- ingest memory: one chunk of events at a time --------------------------
+
+FLAT_CHUNK = 500
+
+
+def flat_events(n_events):
+    """n_events events of every kind by 50 agents: the same names at any length."""
+    for i in range(n_events):
+        kind = panel.EVENT_KINDS[i % 4]
+        yield panel.EventRecord(100 + i % 100, f"agent{i % 50:02d}", kind,
+                                f"solar report {i}" if i % 3 else None,
+                                f"agent{i * 7 % 50:02d}" if kind in ("reply", "follow") else None)
+
+
+def traced_peak(run) -> int:
+    """Peak traced bytes that ``run()`` allocates beyond what it starts with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("source", ["jsonl", "generator"])
+def test_ingest_memory_flat_in_event_count(tmp_path, source):
+    # about 4 and about 40 chunks of the same names; a reader that held every
+    # event would take ten times the memory for the longer stream
+    args = (["solar"], (0, 200), 100)
+
+    def peak(n_events):
+        if source == "generator":
+            return traced_peak(lambda: panel.ingest_events(flat_events(n_events), *args))
+        path = tmp_path / f"{n_events}.jsonl"
+        path.write_text("".join(json.dumps(ev._asdict()) + "\n" for ev in flat_events(n_events)))
+        return traced_peak(lambda: panel.ingest_jsonl(path, *args))
+
+    with mock.patch.object(panel, "INGEST_CHUNK_EVENTS", FLAT_CHUNK):
+        peak(FLAT_CHUNK)  # compiled patterns and other one-off caches
+        short, long = peak(4 * FLAT_CHUNK), peak(40 * FLAT_CHUNK)
+    assert long < 1.10 * short, (short, long)
 
 
 MALFORMED_LINES = [
@@ -464,6 +522,18 @@ def jsonl_lines(draw):
 @given(lines=st.lists(jsonl_lines(), max_size=25), exclude=st.sampled_from([None, "^bo"]))
 @settings(max_examples=120, deadline=None)
 def test_reader_and_cli_agree_with_per_line_reference(lines, exclude):
+    check_reader_and_cli(lines, exclude)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@given(lines=st.lists(jsonl_lines(), max_size=25), exclude=st.sampled_from([None, "^bo"]))
+@settings(max_examples=120, deadline=None)
+def test_reader_and_cli_agree_with_per_line_reference_in_small_chunks(chunk, lines, exclude):
+    with mock.patch.object(panel, "INGEST_CHUNK_EVENTS", chunk):
+        check_reader_and_cli(lines, exclude)
+
+
+def check_reader_and_cli(lines, exclude):
     data = b"".join(lines)
     expected, expected_bad = reference_read(data)
     window = ["--window-start", "0", "--window-end", "200", "--step", "100"]
