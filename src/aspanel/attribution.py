@@ -193,37 +193,36 @@ def _attribute(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: 
 def _midpoint(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, permuted: bool,
               seed: Optional[int]) -> AttributionResult:
     """K-point midpoint quadrature of the gradient from z0 to z: all agents
-    fade in together, or with ``permuted`` one at a time in a seeded order."""
+    fade in together, or with ``permuted`` one at a time in a seeded order.
+    It runs on what the kind reads, z or its row sums, and sums the gradient
+    in the gradient's own shape."""
     if K < 1:
         raise AspanelError("K must be a positive integer")
-    n, D = z.shape
     z0_full = np.broadcast_to(z0, z.shape)
-    delta = z - z0_full
+    x, x0 = f._check(z), f._check(z0_full)
+    delta = x - x0
 
     if not permuted:
         f.check_path(z, z0)
-        acc = np.zeros_like(z)
-        for k in range(1, K + 1):
-            tau = (k - 0.5) / K
-            acc += f.gradient(z0_full + tau * delta)
+        acc = sum(f._gradient(x0 + (k - 0.5) / K * delta) for k in range(1, K + 1))
         phi = _row_sums(delta * acc / K)
         method = {"name": "midpoint", "K": K, "f": f.kind}
     else:
         rng = np.random.default_rng(seed)
-        order = rng.permutation(n)
-        state = np.array(z0_full, dtype=np.float64)
-        phi = np.zeros(n)
+        order = rng.permutation(len(x))
+        state = np.array(x0)
+        phi = np.zeros(len(x))
         for i in order:
-            # each leg is a straight path of its own: agent i alone fades in
+            # each leg is a straight path of its own: agent i alone fades in;
+            # the n x 1 g of a row_sums kind is itself a feature array of f
             end = state.copy()
-            end[i] = z[i]
+            end[i] = x[i]
             f.check_path(end, state)
-            acc_i = np.zeros(D)
+            acc_i = np.zeros(x.shape[1])
             for k in range(1, K + 1):
-                tau = (k - 0.5) / K
-                state[i] = z0_full[i] + tau * delta[i]
-                acc_i += f.gradient(state)[i]
-            state[i] = z[i]
+                state[i] = x0[i] + (k - 0.5) / K * delta[i]
+                acc_i += np.broadcast_to(f._gradient(state), x.shape)[i]
+            state[i] = x[i]
             phi[i] = float(delta[i] @ (acc_i / K))
         method = {"name": "permuted_path", "K": K, "seed": seed, "f": f.kind}
 

@@ -159,22 +159,25 @@ def _kendall_tau_b(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Kind:
-    """One value-function kind.  Its callables take (params, z), with z an
-    n x D array that :func:`_as_features` accepted."""
+    """One value-function kind.  Its callables take (params, x), x what the
+    kind reads of an n x D array z that :func:`_as_features` accepted: z
+    itself, or for a ``row_sums`` kind g, the row sums of z as an n x 1
+    column.  A gradient returns any shape that broadcasts to x."""
 
     evaluate: Callable
     gradient: Callable
-    # (params, z, z0) -> (phi, (f(z), f(z0)), metadata): the exact path
+    # (params, x, x0) -> (phi, (f(z), f(z0)), metadata): the exact path
     # integral from z0, a length-D row shared by every agent or an n x D
-    # array, as attribution._resolve_baseline returns it, and the values whose
-    # difference delta_v is
+    # array, as attribution._resolve_baseline returns it and read as x0, and
+    # the values whose difference delta_v is
     closed_form: Optional[Callable] = None
     covers: str = "any"  # baselines closed_form integrates: "any" | "shared_row"
+    row_sums: bool = False  # f reads z only through g, its row sums
     # (params, z, z0): raises AspanelError where the straight path from the
     # resolved baseline z0 to z leaves the domain of f
     check_path: Callable = lambda p, z, z0: None
     # coalition values under restrict semantics, which read no baseline: agent_stats
-    # (params, z) runs once per game, and its stats feed mask_values(params,
+    # (params, x) runs once per game, and its stats feed mask_values(params,
     # stats, masks), v(C) for each row of an (m, n) boolean matrix,
     # prefix_values(params, stats, perm), v(perm[:t]) for t = 1..n, and
     # paired_values(params, stats, masks), the two (m, n) arrays v(C_j + i) and
@@ -192,9 +195,8 @@ class Kind:
 # ---- the built-in kinds ---------------------------------------------------
 
 
-def _lin_phi(p, z, z0):
-    g, g0 = _row_sums(z), _row_sums(z0)
-    return (g - g0) / len(g), (float(g.mean()), float(g0.mean())), {}
+def _lin_phi(p, g, g0):
+    return ((g - g0) / len(g))[:, 0], (float(g.mean()), float(g0.mean())), {}
 
 
 def _heat_value(p, z) -> float:
@@ -205,8 +207,7 @@ def _heat_gradient(p, z):
     n, D = z.shape
     m = z.mean(axis=0)
     prod_others = np.array([np.prod(np.delete(m, d)) for d in range(D)])
-    row = prod_others / (n * (1.0 + np.prod(m)))
-    return np.broadcast_to(row, z.shape).copy()
+    return prod_others / (n * (1.0 + np.prod(m)))
 
 
 # The heat path integral from a nonzero baseline is integrated by composite
@@ -311,61 +312,46 @@ def _heat_phi(p, z, z0):
     return _row_sums(shares) * (val / D), (val, 0.0), {}
 
 
-def _var_value(p, z) -> float:
-    g = _row_sums(z)
+def _var_value(p, g) -> float:
     return float(np.mean((g - g.mean()) ** 2))
 
 
-def _var_gradient(p, z):
-    g = _row_sums(z)
-    col = (2.0 / len(g)) * (g - g.mean())
-    return np.repeat(col[:, None], z.shape[1], axis=1)
-
-
-def _var_phi(p, z, z0):
+def _var_phi(p, g, g0):
     # The gradient is linear in tau, so phi_i = (g_i - g0_i)((g_i - gbar) +
     # (g0_i - g0bar)) / n; the order of operations keeps g (g - gbar) / n
     # bit for bit at the zero baseline.
-    g, g0 = _row_sums(z), _row_sums(z0)
     gbar, g0bar = g.mean(), g0.mean()
     phi = (g - g0) * ((g - gbar) - (g0bar - g0)) / len(g)
-    return phi, (float(np.mean((g - gbar) ** 2)), float(((g0 - g0bar) ** 2).mean())), {}
+    return phi[:, 0], (float(np.mean((g - gbar) ** 2)), float(((g0 - g0bar) ** 2).mean())), {}
 
 
-def _gini_value(p, z) -> float:
-    g = _row_sums(z)
+def _gini_value(p, g) -> float:
+    g = g[:, 0]
     n = len(g)
     ranks, _ = gini_ranks(g)
     # sorted-rank identity for (1/2n^2) sum_ij |g_i - g_j|
     return float(np.dot(2.0 * ranks - n - 1.0, g) / n**2)
 
 
-def _gini_gradient(p, z):
-    g = _row_sums(z)
+def _gini_gradient(p, g):
     n = len(g)
-    ranks, _ = gini_ranks(g)
-    col = (2.0 * ranks - n - 1.0) / n**2
-    return np.repeat(col[:, None], z.shape[1], axis=1)
+    ranks, _ = gini_ranks(g[:, 0])
+    return ((2.0 * ranks - n - 1.0) / n**2)[:, None]
 
 
-def _gini_phi(p, z, z0):
-    # From a shared row z0 every g_i moves as (1 - tau) sum(z0) + tau g_i, so
-    # the ranks hold along the path.  The rank weights sum to zero and
-    # f(z0) = 0, hence f(z) = delta_v = sum(phi).
-    g = _row_sums(z)
+def _gini_phi(p, g, g0):
+    # From a shared row z0 every g_i moves as (1 - tau) g0 + tau g_i, so the
+    # ranks hold along the path.  The rank weights sum to zero and f(z0) = 0,
+    # hence f(z) = delta_v = sum(phi).
+    g = g[:, 0]
     n = len(g)
     ranks, ties = gini_ranks(g)
-    phi = (g - z0.sum()) * (2.0 * ranks - n - 1.0) / n**2
+    phi = (g - g0) * (2.0 * ranks - n - 1.0) / n**2
     return phi, (float(phi.sum()), 0.0), {"gini_ties": ties}
 
 
 # elements of the pairwise |g_s - g_j| block that _gini_prefix_values holds at once
 GINI_PREFIX_BLOCK = 1 << 16
-
-
-def _gini_stats(p, z):
-    g = _row_sums(z)
-    return g, np.argsort(g, kind="stable")
 
 
 def _gini_mask_values(p, stats, masks):
@@ -422,7 +408,7 @@ def _softplus_gradient(p, z):
     a = p["scale"]
     s = float(np.sum(p["weights"] * z))
     sig = 1.0 / (1.0 + math.exp(-a * s)) if a * s > -700 else 0.0
-    return sig * np.broadcast_to(p["weights"], z.shape)
+    return sig * p["weights"]
 
 
 def _check_scale(p) -> None:
@@ -488,10 +474,10 @@ def _summed(from_stats) -> dict:
 
 KINDS: dict[str, Kind] = {
     "lin": Kind(
-        evaluate=lambda p, z: float(_row_sums(z).mean()),
-        gradient=lambda p, z: np.full_like(z, 1.0 / z.shape[0]),
-        closed_form=_lin_phi,
-        agent_stats=lambda p, z: (_row_sums(z),),
+        evaluate=lambda p, g: float(g.mean()),
+        gradient=lambda p, g: np.full_like(g, 1.0 / len(g)),
+        closed_form=_lin_phi, row_sums=True,
+        agent_stats=lambda p, g: (g[:, 0],),
         **_summed(lambda p, s, count: s[0] / count),
     ),
     "heat": Kind(
@@ -501,18 +487,20 @@ KINDS: dict[str, Kind] = {
         **_summed(lambda p, s, count: np.log1p(np.prod(s[0] / count[..., None], axis=-1))),
     ),
     "var": Kind(
-        evaluate=_var_value, gradient=_var_gradient, closed_form=_var_phi,
-        agent_stats=lambda p, z: (_row_sums(z), _row_sums(z) ** 2),
+        evaluate=_var_value, gradient=lambda p, g: (2.0 / len(g)) * (g - g.mean()),
+        closed_form=_var_phi, row_sums=True,
+        agent_stats=lambda p, g: (g[:, 0], g[:, 0] ** 2),
         **_summed(lambda p, s, count: s[1] / count - (s[0] / count) ** 2),
     ),
     "gini": Kind(
         evaluate=_gini_value, gradient=_gini_gradient, closed_form=_gini_phi,
-        covers="shared_row", agent_stats=_gini_stats, mask_values=_gini_mask_values,
-        prefix_values=_gini_prefix_values,
+        covers="shared_row", row_sums=True,
+        agent_stats=lambda p, g: (g[:, 0], np.argsort(g[:, 0], kind="stable")),
+        mask_values=_gini_mask_values, prefix_values=_gini_prefix_values,
     ),
     "additive": Kind(
         evaluate=lambda p, z: float(np.sum(p["weights"] * z)),
-        gradient=lambda p, z: np.broadcast_to(p["weights"], z.shape).copy(),
+        gradient=lambda p, z: p["weights"],
         agent_stats=_weighted_sums, **_summed(lambda p, s, count: s[0]),
         required=("weights",), agent_params={"weights": "rows"},
     ),
@@ -565,25 +553,34 @@ class ValueFunction:
         object.__setattr__(self, "_spec", spec)
 
     def _check(self, z: np.ndarray) -> np.ndarray:
-        """Return z after checking that every per-agent param matches its n x D."""
-        n, D = z.shape
+        """What the kind reads of z, features or a resolved baseline (see
+        :class:`Kind`), after checking that every per-agent param fits z."""
+        if self._spec.row_sums:
+            return _row_sums(z)[..., None]
         for name, layout in self._spec.agent_params.items():
+            n, D = z.shape
             shape = self.params[name].shape
             if shape not in (((n, n),) if layout == "pairs" else ((n, D), (n, 1))):
                 raise AspanelError(f"{name} of shape {shape} does not fit {n} agents x {D} dims")
         return z
 
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        """The kind's gradient at x = _check(z), in a shape that broadcasts to x."""
+        return self._spec.gradient(self.params, x)
+
     def evaluate(self, features) -> float:
         return self._spec.evaluate(self.params, self._check(_as_features(features)))
 
     def gradient(self, features) -> np.ndarray:
-        return self._spec.gradient(self.params, self._check(_as_features(features)))
+        """The n x D gradient of f at the features."""
+        z = _as_features(features)
+        return np.broadcast_to(self._gradient(self._check(z)), z.shape).copy()
 
     def closed_form(self, z: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, tuple, dict]:
         """(phi, (f(z), f(z0)), metadata) of the path integral from baseline
         z0, a resolved baseline (see :class:`Kind`); z is an array that
         :func:`_as_features` accepted."""
-        return self._spec.closed_form(self.params, self._check(z), z0)
+        return self._spec.closed_form(self.params, self._check(z), self._check(z0))
 
     def check_path(self, z: np.ndarray, z0: np.ndarray) -> None:
         """Raise AspanelError where the straight path from the resolved
@@ -598,7 +595,8 @@ class ValueFunction:
 
     def agent_stats(self, z: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
         """Per-agent statistics from which :meth:`mask_values` and
-        :meth:`prefix_values` give v(C) under restrict semantics, or None when the kind has no such hooks; z as above."""
+        :meth:`prefix_values` give v(C) under restrict semantics, or None
+        when the kind has no such hooks; z as above."""
         stats = self._spec.agent_stats
         return None if stats is None else stats(self.params, self._check(z))
 

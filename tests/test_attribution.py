@@ -436,6 +436,102 @@ class TestClosedFormBaselines:
         assert res.efficiency_residual() <= 1e-14
 
 
+MIDPOINT_BASELINES = {
+    "zero": lambda z: None,
+    "population_mean": lambda z: BaselineSpec("population_mean"),
+    "per_agent": lambda z: 0.5 * z[::-1] + 0.1,
+}
+
+
+class TestReducedMidpoint:
+    """lin, var and gini integrate along g, their row sums; a custom wrapper
+    of the same f integrates the n x D gradient along z."""
+
+    @pytest.mark.parametrize("path", ["linear", "permuted"])
+    @pytest.mark.parametrize("baseline", list(MIDPOINT_BASELINES))
+    @pytest.mark.parametrize("name", ["lin", "var", "gini"])
+    def test_row_sum_kind_matches_its_wrapper(self, name, baseline, path, abs_gaussian):
+        z = abs_gaussian(40, seed=11)
+        z0 = MIDPOINT_BASELINES[baseline](z)
+        f = valuefn.by_name(name)
+        wrapper = valuefn.custom(f.evaluate, f.gradient)
+        got = attribution.attribute_path_integral(f, z, z0, K=30, path=path, seed=2)
+        want = attribution.attribute_path_integral(wrapper, z, z0, K=30, path=path, seed=2)
+        resolved = attribution._resolve_baseline(z0, z)
+        assert np.all(np.abs(got.phi - want.phi) <= 1e-12 * path_mass(f, z, resolved))
+        assert got.delta_v == want.delta_v
+
+    @pytest.mark.parametrize("path", ["linear", "permuted"])
+    @pytest.mark.parametrize("baseline", list(MIDPOINT_BASELINES))
+    def test_heat_matches_its_wrapper_bit_for_bit(self, baseline, path, abs_gaussian):
+        z = abs_gaussian(40, seed=12)
+        z0 = MIDPOINT_BASELINES[baseline](z)
+        f = valuefn.heat()
+        wrapper = valuefn.custom(f.evaluate, f.gradient)
+        got = attribution.attribute_path_integral(f, z, z0, K=30, path=path, seed=2)
+        want = attribution.attribute_path_integral(wrapper, z, z0, K=30, path=path, seed=2)
+        assert got.phi.tobytes() == want.phi.tobytes()
+
+
+def gini_path_oracle(g, g0):
+    """The exact gini path integral from per-agent row sums g0 to g, and each
+    agent's crossing count.  phi_i = (g_i - g0_i)(2 R_i - n - 1) / n^2, R_i
+    the time-average midrank of agent i along the straight path: the pair
+    (i, j) puts j below i for the part of [0, 1] where g_i - g_j > 0, which
+    changes sign at most once, at delta0 / (delta0 - delta1)."""
+    n = len(g)
+    rbar, crossings = np.empty(n), np.empty(n, dtype=np.int64)
+    rows = max(1, (1 << 16) // n)
+    for lo in range(0, n, rows):
+        d0 = g0[lo:lo + rows, None] - g0[None, :]
+        d1 = g[lo:lo + rows, None] - g[None, :]
+        flips = np.sign(d0) * np.sign(d1) < 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = d0 / (d0 - d1)
+        below = np.where(flips, np.where(d0 > 0, t, 1.0 - t), 0.5 + 0.5 * np.sign(d0 + d1))
+        rbar[lo:lo + rows] = 0.5 + below.sum(axis=1)  # agent i itself counts 1/2
+        crossings[lo:lo + rows] = flips.sum(axis=1)
+    return (g - g0) * (2.0 * rbar - n - 1.0) / n**2, crossings
+
+
+class TestGiniPathOracle:
+    """gini has no closed form at a per-agent baseline; its midpoint is
+    checked against the exact integral."""
+
+    def test_oracle_is_the_closed_form_at_a_shared_row(self, abs_gaussian):
+        z, z0 = abs_gaussian(300, seed=3), np.array([0.2, 0.1, 0.4])
+        phi, crossings = gini_path_oracle(z.sum(axis=1), np.full(len(z), z0.sum()))
+        res = attribution.attribute(valuefn.gini(), z, z0)
+        assert res.method["name"] == "closed_form" and not crossings.any()
+        assert np.abs(phi - res.phi).max() <= 1e-15 * np.abs(res.phi).max()
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 30])
+    def test_midpoint_exact_when_the_order_holds(self, K, abs_gaussian):
+        # z0 = z / 4 has row sums g / 4 exactly, so no pair crosses
+        z = abs_gaussian(500, seed=4)
+        z[7] = z[3]  # a tie held along the path
+        g = z.sum(axis=1)
+        phi, crossings = gini_path_oracle(g, g / 4)
+        res = attribution.attribute_path_integral(valuefn.gini(), z, z / 4, K=K)
+        assert not crossings.any()
+        assert np.all(np.abs(res.phi - phi) <= 1e-12 * np.abs(g) / len(g))
+
+    @pytest.mark.parametrize("K", [7, 30])
+    def test_midpoint_within_its_crossing_bound(self, K, abs_gaussian):
+        # each crossing moves agent i's rank weight 2 R_i - n - 1 by 2 at one
+        # time in [0, 1]; the midpoint rule errs by at most 1/K on that step
+        z, z0 = abs_gaussian(400, seed=5), abs_gaussian(400, seed=6)
+        g, g0 = z.sum(axis=1), z0.sum(axis=1)
+        phi, crossings = gini_path_oracle(g, g0)
+        f = valuefn.gini()
+        assert crossings.min() > 0
+        assert abs(phi.sum() - (f.evaluate(z) - f.evaluate(z0))) <= 1e-13
+        res = attribution.attribute_path_integral(f, z, z0, K=K)
+        n = len(g)
+        bound = np.abs(g - g0) * (crossings / K + 1e-12 * n) / n**2
+        assert np.all(np.abs(res.phi - phi) <= bound)
+
+
 class TestBaselineSpec:
     def test_population_mean_resolve(self, abs_gaussian):
         z = abs_gaussian(5)
