@@ -15,7 +15,7 @@ all-baseline configuration with a zero baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .errors import AspanelError, InfeasibleError
 from .valuefn import ValueFunction, _as_features
 
 EXACT_GUARD = 20
-# (row, agent, dim) cells of the temporaries sampled_banzhaf holds at once;
-# a block has at least one row
-BANZHAF_BLOCK = 1 << 16
+# (row, agent, dim) cells of the temporaries a sampled estimator holds at
+# once; a block has at least one row
+SAMPLE_BLOCK = 1 << 16
 
 
 class CoalitionGame:
@@ -44,10 +44,11 @@ class CoalitionGame:
         self.features = z
         self.semantics = semantics
         self.baseline = _resolve_baseline(baseline, z)
-        # per-agent statistics for f's vectorized coalition values, when it has
-        # them; restrict values never read the baseline, pinned ones do
-        self._stats = f.agent_stats(z) if semantics == "restrict" else None
-        self._paired = self._stats is not None and f.has_paired_values
+        # f's coalition hooks or the per-coalition path; restrict values
+        # never read the baseline, pinned ones do
+        hooks = f.coalition_hooks(z) if semantics == "restrict" else None
+        self._masks, self._prefixes, self._pairs = hooks or (
+            self._masks_by_value, self._prefixes_by_value, self._pairs_by_toggle)
 
     @property
     def n(self) -> int:
@@ -66,37 +67,32 @@ class CoalitionGame:
     def grand_value(self) -> float:
         return self.f.evaluate(self.features)
 
-    # ---- vectorized helpers ------------------------------------------------
-
-    @property
-    def _fast(self) -> bool:
-        return self._stats is not None
+    # ---- bulk coalition values ---------------------------------------------
 
     def mask_values(self, masks: np.ndarray) -> np.ndarray:
-        """v(C) for a (m, n) boolean coalition matrix; vectorized when f's
-        kind has coalition hooks (see :meth:`ValueFunction.agent_stats`)."""
-        masks = np.asarray(masks, dtype=bool)
-        if self._fast:
-            return self.f.mask_values(self._stats, masks)
-        return np.array([self.value(np.flatnonzero(row)) for row in masks])
+        """v(C) for each row of an (m, n) boolean coalition matrix."""
+        return self._masks(np.asarray(masks, dtype=bool))
+
+    def prefix_values(self, perm: np.ndarray) -> np.ndarray:
+        """v(perm[:t]) for t = 1..n, the coalitions a permutation builds up."""
+        return self._prefixes(perm)
 
     def paired_values(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(v(C_j + i), v(C_j - i)) for each row C_j of an (m, n) boolean
-        coalition matrix and each agent i, two (m, n) arrays: vectorized over
-        the agents when f's kind has the hook, else two :meth:`mask_values`
-        calls per agent with its column toggled."""
-        masks = np.asarray(masks, dtype=bool)
-        if self._paired:
-            return self.f.paired_values(self._stats, masks)
-        with_, without = np.empty(masks.shape), np.empty(masks.shape)
-        work = masks.copy()
-        for i in range(self.n):
-            work[:, i] = True
-            with_[:, i] = self.mask_values(work)
-            work[:, i] = False
-            without[:, i] = self.mask_values(work)
-            work[:, i] = masks[:, i]
-        return with_, without
+        coalition matrix and each agent i, two (m, n) arrays; each row's
+        values depend on that row alone."""
+        return self._pairs(np.asarray(masks, dtype=bool))
+
+    def _masks_by_value(self, masks):
+        return np.array([self.value(np.flatnonzero(row)) for row in masks])
+
+    def _prefixes_by_value(self, perm):
+        return np.array([self.value(perm[: t + 1]) for t in range(len(perm))])
+
+    def _pairs_by_toggle(self, masks):
+        agent = np.eye(self.n, dtype=bool)
+        return (np.array([self.mask_values(row | agent) for row in masks]),
+                np.array([self.mask_values(row & ~agent) for row in masks]))
 
 
 @dataclass(frozen=True)
@@ -167,35 +163,49 @@ def exact_banzhaf(game: CoalitionGame) -> np.ndarray:
 # ---- Monte Carlo estimators -------------------------------------------------
 
 
+def _mean_stderr(blocks: Iterable[np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error (ddof = 1, NaN at m = 1) of m samples of an
+    n-vector that come in order as (rows, n) blocks, each a fresh array that
+    this overwrites.  The sums are of x - shift and its square, shift the
+    first sample, so the second moment keeps its precision where x varies
+    little; no block size changes the result."""
+    for j, d in enumerate(blocks):
+        d = np.ascontiguousarray(d)
+        if j == 0:
+            shift, acc, acc2 = d[0].copy(), 0.0, 0.0
+        d -= shift
+        d2 = d * d
+        # the running sums go first, and numpy sums a C-ordered block over its
+        # rows one row at a time, so each sum adds the samples in order (a
+        # one-agent block is summed pairwise, but its samples are all equal)
+        d[0] += acc
+        d2[0] += acc2
+        acc, acc2 = d.sum(axis=0), d2.sum(axis=0)
+    var = np.maximum(acc2 - acc * acc / m, 0.0) / (m - 1) if m > 1 else np.full(len(shift), np.nan)
+    return shift + acc / m, np.sqrt(var / m)
+
+
 def sampled_shapley(game: CoalitionGame, m: int, seed: Optional[int] = None) -> SampledEstimate:
     """Permutation Monte Carlo Shapley.
 
     Each permutation's marginals telescope to v([n]) - v(empty), so the mean
-    estimate is exactly efficient for every m.  Per-permutation seeds derive
+    estimate is efficient to rounding for every m.  Per-permutation seeds derive
     from the root seed by counter, making results independent of scheduling.
     """
     if m < 1:
         raise AspanelError("need at least one permutation sample")
-    n = game.n
-    acc = np.zeros(n)
-    acc2 = np.zeros(n)
-    for j in range(m):
-        rng = np.random.default_rng((seed, j) if seed is not None else None)
-        perm = rng.permutation(n)
-        if game._fast:
-            prefix_vals = game.f.prefix_values(game._stats, perm)
-        else:
-            prefix_vals = np.empty(n)
-            for t in range(n):
-                prefix_vals[t] = game.value(perm[: t + 1])
-        marginals = np.diff(np.concatenate(([0.0], prefix_vals)))
-        contrib = np.empty(n)
-        contrib[perm] = marginals
-        acc += contrib
-        acc2 += contrib**2
-    mean = acc / m
-    var = np.maximum(acc2 / m - mean**2, 0.0)
-    stderr = np.sqrt(var / m) if m > 1 else np.full(n, np.nan)
+    n, D = game.features.shape
+    rows = max(1, SAMPLE_BLOCK // (n * D))
+
+    def blocks():
+        for lo in range(0, m, rows):
+            block = np.empty((min(rows, m - lo), n))
+            for j, contrib in enumerate(block, lo):
+                perm = np.random.default_rng((seed, j) if seed is not None else None).permutation(n)
+                contrib[perm] = np.diff(np.concatenate(([0.0], game.prefix_values(perm))))
+            yield block
+
+    mean, stderr = _mean_stderr(blocks(), m)
     return SampledEstimate(_finite(mean, "sampled Shapley"), stderr, m, seed)
 
 
@@ -211,27 +221,7 @@ def sampled_banzhaf(game: CoalitionGame, m: int, seed: Optional[int] = None) -> 
         raise AspanelError("need at least one coalition sample")
     n, D = game.features.shape
     masks = np.random.default_rng(seed).integers(0, 2, size=(m, n), dtype=bool)
-    # Hooked values of a row do not depend on the rows beside it, so they go
-    # in blocks of rows; mask_values may round a row by its block, so a game
-    # without the hook takes all rows at once.  Either way no block size
-    # changes the result.
-    rows = max(1, BANZHAF_BLOCK // (n * D)) if game._paired else m
-    # sums over the rows of d - shift and its square, shift the first row's
-    # marginals: the shifted second moment keeps its precision where d varies little
-    acc = acc2 = 0.0
-    for lo in range(0, m, rows):
-        with_, without = game.paired_values(masks[lo:lo + rows])
-        d = np.subtract(with_, without, out=with_)
-        del without
-        if lo == 0:
-            shift = d[0].copy()
-        d -= shift
-        d2 = d * d
-        # the running sums go first, so each sum adds the rows in order
-        d[0] += acc
-        d2[0] += acc2
-        acc, acc2 = np.cumsum(d, axis=0, out=d)[-1], np.cumsum(d2, axis=0, out=d2)[-1]
-    phi = shift + acc / m
-    var = np.maximum(acc2 - acc * acc / m, 0.0) / (m - 1) if m > 1 else np.full(n, np.nan)
-    stderr = np.sqrt(var / m)
+    rows = max(1, SAMPLE_BLOCK // (n * D))
+    blocks = (np.subtract(*game.paired_values(masks[lo:lo + rows])) for lo in range(0, m, rows))
+    phi, stderr = _mean_stderr(blocks, m)
     return SampledEstimate(_finite(phi, "sampled Banzhaf"), stderr, m, seed)

@@ -561,9 +561,11 @@ def make_tier_partition(
     ceil(fraction * N).  Three groups are named top, mid and tail.
     """
     fracs = tuple(float(f) for f in cut_fractions)
-    if any(b <= a for a, b in zip(fracs, fracs[1:])) or fracs[-1] != 1.0:
-        raise AspanelError("cut_fractions must be strictly increasing and end at 1.0")
+    if any(b <= a for a, b in zip(fracs, fracs[1:])) or fracs[-1] != 1.0 or not fracs[0] > 0:
+        raise AspanelError("cut_fractions must be positive, strictly increasing and end at 1.0")
     metric = np.asarray(values, dtype=np.float64)
+    if np.isnan(metric).any():
+        raise AspanelError("tier values contain NaN, which has no rank")
     n = len(metric)
     if n < len(fracs):
         raise AspanelError(f"cannot split {n} agents into {len(fracs)} groups")

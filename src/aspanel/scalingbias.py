@@ -10,6 +10,7 @@ three-agent counterexample as an executable self-check.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,8 +69,10 @@ def linear_reconciliation_factor(mu_values_full, subset: Sequence[int]) -> float
     """
     mu = np.asarray(mu_values_full, dtype=np.float64)
     idx = np.asarray(subset, dtype=np.int64)
-    total = float(mu.sum())
-    sub = float(mu[idx].sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, sub = float(mu.sum()), float(mu[idx].sum())
+    if not (math.isfinite(total) and math.isfinite(sub)):
+        raise AspanelError("generator gaps and their sums must be finite")
     if sub == 0.0 or total == 0.0:
         raise AspanelError("degenerate: zero generator sum")
     return total / sub

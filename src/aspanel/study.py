@@ -81,6 +81,8 @@ class SubsetSampler:
         """The top agents by score form the pool; draw n of them uniformly.
         When n reaches the pool size, take the whole pool plus a uniform
         complement, which collapses to the full panel at n = N."""
+        if n < 1:
+            raise AspanelError(f"subset size {n} is below 1")
         if n > self.n_agents:
             raise AspanelError(f"subset size {n} exceeds population {self.n_agents}")
         rng = np.random.default_rng(seed)
@@ -212,6 +214,8 @@ def rank_agreement(phi_a, phi_b, k: int = 10) -> dict:
         raise AspanelError("attribution vectors must be 1-d, equal length >= 2")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise AspanelError("attribution vectors contain non-finite values")
+    if k < 1:
+        raise AspanelError(f"top-k size {k} is below 1")
     tau = _kendall_tau_b(a, b)
     rho = _spearman_rho(a, b)
     ta, tb = top_k_set(a, k), top_k_set(b, k)
@@ -239,6 +243,8 @@ def deletion_faithfulness(
     if not 0 < k_max < n:
         raise AspanelError("k_max must be in [1, n)")
     ranking = np.asarray(attribution_ranking, dtype=np.int64)
+    if ranking.ndim != 1 or len(ranking) < k_max or not np.all((ranking >= 0) & (ranking < n)):
+        raise AspanelError(f"the ranking must list at least k_max agent indices in [0, {n})")
     half = math.ceil(T / 2) - 1  # 0-based first step of the second half
     step_vals = [f.evaluate(panel.features[:, t, :]) for t in range(half, T)]
     t_star = half + int(np.argmax(step_vals))
@@ -275,6 +281,8 @@ def k_convergence_sweep(
     else:
         ref = attribution.attribute_path_integral(f, features, K=int(reference)).phi
     scale = np.abs(ref).sum()
+    if scale == 0.0:
+        raise DegenerateChangeError("the reference attribution is zero: no relative error")
     rows = []
     for K in K_list:
         t0 = time.perf_counter()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -176,16 +177,14 @@ class Kind:
     # (params, z, z0): raises AspanelError where the straight path from the
     # resolved baseline z0 to z leaves the domain of f
     check_path: Callable = lambda p, z, z0: None
-    # coalition values under restrict semantics, which read no baseline: agent_stats
-    # (params, x) runs once per game, and its stats feed mask_values(params,
-    # stats, masks), v(C) for each row of an (m, n) boolean matrix,
-    # prefix_values(params, stats, perm), v(perm[:t]) for t = 1..n, and
-    # paired_values(params, stats, masks), the two (m, n) arrays v(C_j + i) and
-    # v(C_j - i) for each row j and agent i; v(empty) = 0
-    agent_stats: Optional[Callable] = None
-    mask_values: Optional[Callable] = None
-    prefix_values: Optional[Callable] = None
-    paired_values: Optional[Callable] = None
+    # coalition values under restrict semantics, which read no baseline, all
+    # or none: (stats, mask_values, prefix_values, paired_values).  stats(params,
+    # x) runs once per game, and its stats feed mask_values(params, stats,
+    # masks), v(C) for each row of an (m, n) boolean matrix, prefix_values(params,
+    # stats, perm), v(perm[:t]) for t = 1..n, and paired_values(params, stats,
+    # masks), the two (m, n) arrays v(C_j + i) and v(C_j - i) for each row j and
+    # agent i, each row's from that row alone; v(empty) = 0
+    coalition: Optional[tuple] = None
     required: tuple = ()  # params every caller must supply
     agent_params: dict = field(default_factory=dict)  # name -> "rows" (n x D) | "pairs" (n x n)
     defaults: dict = field(default_factory=dict)
@@ -354,18 +353,43 @@ def _gini_phi(p, g, g0):
 GINI_PREFIX_BLOCK = 1 << 16
 
 
-def _gini_mask_values(p, stats, masks):
-    # With the agents in ascending order of g, the running count R of members
-    # is each member's rank within the coalition C, so by the sorted-rank
-    # identity v(C) = sum_C g (2R - |C| - 1) / |C|^2.  Ties may take any order.
+def _gini_members(stats, masks):
+    """(g, membership, k, |C|) over the agents in ascending order of g, for
+    each row of masks: the running member count R is a member's rank within
+    C and an outsider's count b of members below it, and k = 2R - |C|, a
+    column; ties may take any order."""
     g, order = stats
     member = masks[:, order]
-    w = np.cumsum(member, axis=1, dtype=np.float64)
-    size = w[:, -1].copy()
-    w *= 2.0
-    w -= (size + 1.0)[:, None]
-    w *= member
-    return (w @ g[order]) / np.maximum(size, 1.0) ** 2
+    k = np.cumsum(member, axis=1, dtype=np.float64)
+    size = k[:, -1:].copy()
+    k *= 2.0
+    k -= size
+    return g[order], member, k, size
+
+
+def _gini_mask_values(p, stats, masks):
+    # by the sorted-rank identity v(C) = sum_C g (2R - |C| - 1) / |C|^2
+    gs, member, k, size = _gini_members(stats, masks)
+    return (((k - 1.0) * member) @ gs) / np.maximum(size[:, 0], 1.0) ** 2
+
+
+def _gini_paired_values(p, stats, masks):
+    # With S = |C|^2 v(C) and the sums of member g below and above agent i,
+    # removing member i gives S - g_i (2R - |C| - 1) + below - above, and
+    # adding outsider i gives S - below + above + g_i (2b - |C|).  Every sum
+    # runs in order along one row, so a row's values do not depend on the
+    # rows beside it.
+    gs, member, k, size = _gini_members(stats, masks)
+    mg = member * gs
+    run = np.cumsum(mg, axis=1)
+    S = np.cumsum(mg * (k - 1.0), axis=1)[:, -1:]
+    sign = 1.0 - 2.0 * member  # +1 adds outsider i, -1 removes member i
+    toggled = S + sign * (gs * (k - member) + (run[:, -1:] - run) - (run - mg))
+    toggled /= np.maximum(size + sign, 1.0) ** 2
+    v = S / np.maximum(size, 1.0) ** 2
+    back = np.argsort(stats[1])
+    return (np.where(member, v, toggled).take(back, axis=1),
+            np.where(member, toggled, v).take(back, axis=1))
 
 
 def _gini_prefix_values(p, stats, perm):
@@ -435,10 +459,10 @@ def _weighted_sums(p, z):
     return (_row_sums(p["weights"] * z),)
 
 
-def _summed(from_stats) -> dict:
+def _summed(agent_stats, from_stats) -> tuple:
     """The coalition hooks of a kind whose v(C) is from_stats(params, the
-    coalition sums of its agent stats, |C|): mask sums as M @ s, prefix sums
-    as cumsum(s[perm])."""
+    coalition sums of its agent_stats(params, x), |C|): mask sums as M @ s,
+    prefix sums as cumsum(s[perm])."""
 
     def values(p, sums, count):
         safe = np.where(count > 0, count, 1.0)
@@ -468,8 +492,7 @@ def _summed(from_stats) -> dict:
             with_.append(np.moveaxis(rest + s, -1, 1))
         return values(p, with_, count + 1.0), values(p, without, count)
 
-    return {"mask_values": mask_values, "prefix_values": prefix_values,
-            "paired_values": paired_values}
+    return agent_stats, mask_values, prefix_values, paired_values
 
 
 KINDS: dict[str, Kind] = {
@@ -477,31 +500,30 @@ KINDS: dict[str, Kind] = {
         evaluate=lambda p, g: float(g.mean()),
         gradient=lambda p, g: np.full_like(g, 1.0 / len(g)),
         closed_form=_lin_phi, row_sums=True,
-        agent_stats=lambda p, g: (g[:, 0],),
-        **_summed(lambda p, s, count: s[0] / count),
+        coalition=_summed(lambda p, g: (g[:, 0],), lambda p, s, count: s[0] / count),
     ),
     "heat": Kind(
         evaluate=_heat_value, gradient=_heat_gradient, closed_form=_heat_phi,
         check_path=_heat_path,
-        agent_stats=lambda p, z: (z,),
-        **_summed(lambda p, s, count: np.log1p(np.prod(s[0] / count[..., None], axis=-1))),
+        coalition=_summed(lambda p, z: (z,), lambda p, s, count: np.log1p(
+            np.prod(s[0] / count[..., None], axis=-1))),
     ),
     "var": Kind(
         evaluate=_var_value, gradient=lambda p, g: (2.0 / len(g)) * (g - g.mean()),
         closed_form=_var_phi, row_sums=True,
-        agent_stats=lambda p, g: (g[:, 0], g[:, 0] ** 2),
-        **_summed(lambda p, s, count: s[1] / count - (s[0] / count) ** 2),
+        coalition=_summed(lambda p, g: (g[:, 0], g[:, 0] ** 2),
+                          lambda p, s, count: s[1] / count - (s[0] / count) ** 2),
     ),
     "gini": Kind(
         evaluate=_gini_value, gradient=_gini_gradient, closed_form=_gini_phi,
         covers="shared_row", row_sums=True,
-        agent_stats=lambda p, g: (g[:, 0], np.argsort(g[:, 0], kind="stable")),
-        mask_values=_gini_mask_values, prefix_values=_gini_prefix_values,
+        coalition=(lambda p, g: (g[:, 0], np.argsort(g[:, 0], kind="stable")),
+                   _gini_mask_values, _gini_prefix_values, _gini_paired_values),
     ),
     "additive": Kind(
         evaluate=lambda p, z: float(np.sum(p["weights"] * z)),
         gradient=lambda p, z: p["weights"],
-        agent_stats=_weighted_sums, **_summed(lambda p, s, count: s[0]),
+        coalition=_summed(_weighted_sums, lambda p, s, count: s[0]),
         required=("weights",), agent_params={"weights": "rows"},
     ),
     "quadratic_cross": Kind(
@@ -512,8 +534,8 @@ KINDS: dict[str, Kind] = {
     ),
     "softplus": Kind(
         evaluate=_softplus_value, gradient=_softplus_gradient,
-        agent_stats=_weighted_sums,
-        **_summed(lambda p, s, count: np.logaddexp(0.0, p["scale"] * s[0]) / p["scale"]),
+        coalition=_summed(_weighted_sums, lambda p, s, count: np.logaddexp(
+            0.0, p["scale"] * s[0]) / p["scale"]),
         required=("weights",), agent_params={"weights": "rows"},
         defaults={"scale": 0.35}, check=_check_scale,
     ),
@@ -593,34 +615,19 @@ class ValueFunction:
         spec = self._spec
         return spec.closed_form is not None and (spec.covers == "any" or z0.ndim == 1)
 
-    def agent_stats(self, z: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
-        """Per-agent statistics from which :meth:`mask_values` and
-        :meth:`prefix_values` give v(C) under restrict semantics, or None
-        when the kind has no such hooks; z as above."""
-        stats = self._spec.agent_stats
-        return None if stats is None else stats(self.params, self._check(z))
-
-    def mask_values(self, stats, masks: np.ndarray) -> np.ndarray:
-        """v(C) for each row of an (m, n) boolean coalition matrix; empty -> 0."""
-        return self._spec.mask_values(self.params, stats, masks)
-
-    def prefix_values(self, stats, perm: np.ndarray) -> np.ndarray:
-        """v(perm[:t]) for t = 1..n, the coalitions a permutation builds up."""
-        return self._spec.prefix_values(self.params, stats, perm)
-
-    def paired_values(self, stats, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(v(C_j + i), v(C_j - i)) for each row C_j of an (m, n) boolean
-        coalition matrix and each agent i, two (m, n) arrays; each row's values
-        depend on that row alone."""
-        return self._spec.paired_values(self.params, stats, masks)
+    def coalition_hooks(self, z: np.ndarray) -> Optional[tuple[Callable, ...]]:
+        """The kind's mask_values, prefix_values and paired_values (see
+        :class:`Kind`) bound to f's params and the agent stats of z; None when
+        the kind has no coalition hooks.  z as above."""
+        if self._spec.coalition is None:
+            return None
+        make_stats, *hooks = self._spec.coalition
+        stats = make_stats(self.params, self._check(z))
+        return tuple(partial(hook, self.params, stats) for hook in hooks)
 
     @property
     def has_closed_form(self) -> bool:
         return self._spec.closed_form is not None
-
-    @property
-    def has_paired_values(self) -> bool:
-        return self._spec.paired_values is not None
 
     def restrict(self, indices: Sequence[int]) -> "ValueFunction":
         """Restrict to a coalition by slicing the per-agent params; a kind

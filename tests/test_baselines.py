@@ -90,58 +90,56 @@ class TestGameValues:
         (valuefn.variance, True),
         (valuefn.gini, True),
     ])
-    def test_mask_values_agree_with_scalar_path(self, make, fast, abs_gaussian, rng):
+    def test_mask_values_agree_with_scalar_path(self, make, fast, abs_gaussian, rng,
+                                                scalar_calls):
         z = abs_gaussian(8, seed=30)
         game = CoalitionGame(make(), z)
-        assert game._fast is fast
         masks = rng.random((20, 8)) < 0.5
         vals = game.mask_values(masks)
+        assert (scalar_calls == []) is fast
         slow = np.array([game.value(np.flatnonzero(r)) for r in masks])
         assert vals == pytest.approx(slow, abs=1e-12)
 
-    def test_gini_restrict_game_makes_no_scalar_calls(self, abs_gaussian, monkeypatch):
-        calls = []
-        scalar = CoalitionGame.value
-        monkeypatch.setattr(CoalitionGame, "value", lambda game, c: calls.append(c) or scalar(game, c))
+    def test_gini_restrict_game_makes_no_scalar_calls(self, abs_gaussian, scalar_calls):
         game = CoalitionGame(valuefn.gini(), abs_gaussian(6, seed=32))
         baselines.exact_shapley(game)
         baselines.exact_banzhaf(game)
         baselines.sampled_shapley(game, 5, seed=1)
         baselines.sampled_banzhaf(game, 5, seed=1)
         baselines.leave_one_out(game)
-        assert calls == []
+        assert scalar_calls == []
         game.value([0, 1])  # the patch does count scalar calls
-        assert len(calls) == 1
+        assert len(scalar_calls) == 1
 
-    def test_restrict_game_ignores_a_nonzero_baseline(self, abs_gaussian, monkeypatch):
+    def test_restrict_game_ignores_a_nonzero_baseline(self, abs_gaussian, scalar_calls):
         # restrict semantics never read the baseline, so the hooks still serve it
         z = abs_gaussian(6, seed=33)
         zero = baselines.exact_shapley(CoalitionGame(valuefn.gini(), z))
-        calls = []
-        scalar = CoalitionGame.value
-        monkeypatch.setattr(CoalitionGame, "value", lambda game, c: calls.append(c) or scalar(game, c))
         game = CoalitionGame(valuefn.gini(), z, baseline=np.ones(3))
         assert np.array_equal(baselines.exact_shapley(game), zero)
-        assert calls == []
+        assert scalar_calls == []
 
     @pytest.mark.parametrize("block", [1, 120, 1 << 16])
-    def test_gini_prefix_blocks_match_scalar_path(self, block, rng, monkeypatch):
+    def test_gini_prefix_blocks_match_scalar_path(self, block, rng, monkeypatch, scalar_calls):
         # at n = 50: one row per block, two rows per block, one block
         monkeypatch.setattr(valuefn, "GINI_PREFIX_BLOCK", block)
         z = np.round(rng.standard_normal((50, 2)), 1)  # signed, with ties
         game = CoalitionGame(valuefn.gini(), z)
         perm = rng.permutation(50)
+        fast = game.prefix_values(perm)
+        assert scalar_calls == []
         slow = [game.value(perm[:t]) for t in range(1, 51)]
-        assert game.f.prefix_values(game.f.agent_stats(z), perm) == pytest.approx(slow, rel=1e-12)
+        assert fast == pytest.approx(slow, rel=1e-12)
 
-    def test_mask_values_fast_softplus(self, abs_gaussian, rng):
+    def test_mask_values_fast_softplus(self, abs_gaussian, rng, scalar_calls):
         z = abs_gaussian(8, seed=31)
         W = np.abs(rng.standard_normal((8, 3)))
         game = CoalitionGame(valuefn.softplus_aggregator(W), z)
-        assert game._fast
         masks = rng.random((20, 8)) < 0.5
+        fast = game.mask_values(masks)
+        assert scalar_calls == []
         slow = np.array([game.value(np.flatnonzero(r)) for r in masks])
-        assert game.mask_values(masks) == pytest.approx(slow, abs=1e-12)
+        assert fast == pytest.approx(slow, abs=1e-12)
 
 
 class TestLeaveOneOut:
@@ -264,6 +262,42 @@ class TestSampled:
             slow = baselines.sampled_shapley(CoalitionGame(valuefn.custom(f.evaluate), z), 40, seed=9)
             assert fast.values == pytest.approx(slow.values, abs=1e-12)
 
+    def test_shapley_stderr_on_an_additive_game(self):
+        # every marginal is the agent's own term, so the samples differ only by
+        # the rounding of 1e8-sized prefix sums; a naive second moment of
+        # contributions near 1e8 reads up to ~0.35 here
+        z = 1e8 + np.random.default_rng(1).uniform(0, 7, (5, 1))
+        game = CoalitionGame(valuefn.additive(np.ones((5, 1))), z)
+        est = baselines.sampled_shapley(game, 100, seed=1)
+        assert np.all(est.stderr <= 1e-6)
+
+    def test_shapley_stderr_matches_two_pass(self, abs_gaussian):
+        n, m = 9, 30
+        game = CoalitionGame(valuefn.variance(), abs_gaussian(n, seed=45))
+        contrib = np.empty((m, n))
+        for j, row in enumerate(contrib):
+            perm = np.random.default_rng((4, j)).permutation(n)
+            row[perm] = np.diff([game.value(perm[:t]) for t in range(n + 1)])
+        est = baselines.sampled_shapley(game, m, seed=4)
+        assert est.values == pytest.approx(contrib.mean(axis=0), rel=1e-12)
+        assert est.stderr == pytest.approx(contrib.std(axis=0, ddof=1) / np.sqrt(m), rel=1e-12)
+
+    def test_shapley_one_sample_has_nan_stderr(self, abs_gaussian):
+        est = baselines.sampled_shapley(CoalitionGame(valuefn.heat(), abs_gaussian(5)), 1, seed=0)
+        assert np.all(np.isfinite(est.values)) and np.all(np.isnan(est.stderr))
+
+    @pytest.mark.parametrize("make", [valuefn.heat, valuefn.gini])
+    def test_shapley_independent_of_block_size(self, make, abs_gaussian, monkeypatch):
+        # at n = 9, D = 3: one row per block, 7 rows per block, one block
+        game = CoalitionGame(make(), abs_gaussian(9, seed=46))
+        results = []
+        for block in (1, 200, 1 << 30):
+            monkeypatch.setattr(baselines, "SAMPLE_BLOCK", block)
+            results.append(baselines.sampled_shapley(game, 50, seed=8))
+        for r in results[1:]:
+            assert r.values.tobytes() == results[0].values.tobytes()
+            assert r.stderr.tobytes() == results[0].stderr.tobytes()
+
     def test_banzhaf_converges_to_exact(self, abs_gaussian):
         game = CoalitionGame(valuefn.variance(), abs_gaussian(8, seed=40))
         exact = baselines.exact_banzhaf(game)
@@ -279,26 +313,27 @@ class TestSampled:
         assert est.values == pytest.approx((W * z).sum(axis=1), abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["lin", "heat", "var", "additive", "softplus"])
-    def test_banzhaf_hook_matches_unhooked_path(self, kind, abs_gaussian, rng):
+    def test_banzhaf_hook_matches_unhooked_path(self, kind, abs_gaussian, rng, scalar_calls):
         z = abs_gaussian(12, seed=41)
         params = {"weights": rng.standard_normal((12, 3))} if kind in ("additive", "softplus") else {}
         f = valuefn.by_name(kind, **params)
         game = CoalitionGame(f, z)
-        assert game._paired
+        fast = baselines.sampled_banzhaf(game, 30, seed=6)
+        assert scalar_calls == []
         # custom has no hooks.  A weighted kind's weights fit only the whole
         # population, so its wrapper plays under pin semantics: outsiders
         # pinned at zero add nothing to the weighted sum, as under restrict
         sem = "pin" if params else "restrict"
         slow_game = CoalitionGame(valuefn.custom(f.evaluate), z, semantics=sem)
-        fast = baselines.sampled_banzhaf(game, 30, seed=6)
         slow = baselines.sampled_banzhaf(slow_game, 30, seed=6)
         assert fast.values == pytest.approx(slow.values, abs=1e-12)
         assert fast.stderr == pytest.approx(slow.stderr, abs=1e-12)
 
-    def test_banzhaf_gini_matches_custom_wrapper(self, abs_gaussian):
-        # gini has mask values but no paired hook: its columns are toggled
+    def test_banzhaf_gini_matches_custom_wrapper(self, abs_gaussian, scalar_calls):
+        # the custom wrapper evaluates each coalition with and without each agent
         z = np.round(abs_gaussian(10, seed=42), 1)  # with ties
         fast = baselines.sampled_banzhaf(CoalitionGame(valuefn.gini(), z), 40, seed=7)
+        assert scalar_calls == []
         slow = baselines.sampled_banzhaf(
             CoalitionGame(valuefn.custom(valuefn.gini().evaluate), z), 40, seed=7)
         assert fast.values == pytest.approx(slow.values, abs=1e-12)
@@ -310,7 +345,7 @@ class TestSampled:
         game = CoalitionGame(make(), abs_gaussian(9, seed=43))
         results = []
         for block in (1, 200, 1 << 30):
-            monkeypatch.setattr(baselines, "BANZHAF_BLOCK", block)
+            monkeypatch.setattr(baselines, "SAMPLE_BLOCK", block)
             results.append(baselines.sampled_banzhaf(game, 50, seed=8))
         for r in results[1:]:
             assert r.values.tobytes() == results[0].values.tobytes()
@@ -322,7 +357,7 @@ class TestSampled:
 
     def test_banzhaf_memory_stays_near_the_mask(self, abs_gaussian):
         # one shared (m, n) boolean draw, 2 MB here, and block temporaries of
-        # BANZHAF_BLOCK cells; a float64 (m, n) array would add 16 MB
+        # SAMPLE_BLOCK cells; a float64 (m, n) array would add 16 MB
         n, m = 2000, 1000
         game = CoalitionGame(valuefn.heat(), abs_gaussian(n, seed=44))
         baselines.sampled_banzhaf(game, 2, seed=1)  # warm up
@@ -332,7 +367,7 @@ class TestSampled:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= m * n + 8 * 8 * baselines.BANZHAF_BLOCK
+        assert peak <= m * n + 8 * 8 * baselines.SAMPLE_BLOCK
 
     def test_sample_count_validated(self, abs_gaussian):
         game = CoalitionGame(valuefn.heat(), abs_gaussian(4))

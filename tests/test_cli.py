@@ -469,6 +469,15 @@ class TestStudy:
         assert "unknown study mode 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("mode", ["flip", "rescale"])
+    @pytest.mark.parametrize("sizes", ["-5", "0"])
+    def test_subset_size_below_one_is_data_error(self, tmp_path, capsys, mode, sizes):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"mode = {mode}\nn_agents = 300\nlaw = pareto_reach\nf = var\n"
+                       f"sizes = {sizes}\nseeds = 0\n")
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: subset size {sizes} is below 1\n"
+
     @pytest.mark.parametrize("key,value", [
         ("sizes", "abc"), ("seeds", "0 x"), ("n_agents", "abc"), ("n_steps", "2.5"),
         ("pareto_alpha", "x"), ("panel_seed", ""), ("cut_fractions", "0.1 x 1.0"),

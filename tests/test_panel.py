@@ -680,6 +680,16 @@ class TestTierPartition:
         with pytest.raises(AspanelError):
             panel.make_tier_partition(np.arange(10.0), cut_fractions=(0.5, 0.9))
 
+    @pytest.mark.parametrize("fracs", [(0.0, 1.0), (-0.2, 0.5, 1.0), (np.nan, 1.0)])
+    def test_first_cut_must_be_positive(self, fracs):
+        # (0.0, 1.0) would leave the top group empty
+        with pytest.raises(AspanelError, match="positive"):
+            panel.make_tier_partition(np.arange(10.0), cut_fractions=fracs)
+
+    def test_nan_values_rejected(self):
+        with pytest.raises(AspanelError, match="NaN"):
+            panel.make_tier_partition(np.array([1.0, np.nan, 3.0, 2.0]), cut_fractions=(0.5, 1.0))
+
 
 class TestSynthetic:
     def test_deterministic(self):

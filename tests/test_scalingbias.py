@@ -62,6 +62,16 @@ class TestLinearFactor:
         with pytest.raises(AspanelError):
             scalingbias.linear_reconciliation_factor(np.array([1.0, -1.0, 3.0]), [0, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gaps_rejected(self, bad):
+        # the bad gap lies outside the subset, so only the full sum sees it
+        with pytest.raises(AspanelError, match="must be finite"):
+            scalingbias.linear_reconciliation_factor(np.array([1.0, bad, 3.0]), [0, 2])
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(AspanelError, match="must be finite"):
+            scalingbias.linear_reconciliation_factor(np.array([1e308, 1e308, 1.0]), [0, 2])
+
 
 class TestCounterexample:
     def test_report_values(self):

@@ -19,6 +19,12 @@ class TestSampling:
         assert np.array_equal(a.indices, b.indices)
         assert not np.array_equal(a.indices, study.sample_subset(pareto_feats, "random", 100, seed=5).indices)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_size_below_one_rejected(self, pareto_feats, n):
+        for proto in study.PROTOCOLS:
+            with pytest.raises(AspanelError, match="below 1"):
+                study.SubsetSampler(pareto_feats, proto, 0.05, 500).draw(n, seed=0)
+
     def test_sizes_and_uniqueness(self, pareto_feats):
         for proto in study.PROTOCOLS:
             sub = study.sample_subset(pareto_feats, proto, 100, seed=0)
@@ -215,6 +221,12 @@ class TestRankAgreement:
         with pytest.raises(AspanelError):
             study.rank_agreement([1.0], [1.0])
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_top_k_below_one_rejected(self, k):
+        phi = np.arange(5, dtype=np.float64)
+        with pytest.raises(AspanelError, match="top-k"):
+            study.rank_agreement(phi, phi[::-1], k=k)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         phi = np.arange(5, dtype=np.float64)
@@ -261,6 +273,13 @@ class TestDeletion:
         with pytest.raises(AspanelError):
             study.deletion_faithfulness(pn, valuefn.linear_mean(), np.arange(20), k_max=20)
 
+    @pytest.mark.parametrize("ranking", [[0, 1, 20], [0, -1, 2], [0, 1]],
+                             ids=["past-n", "negative", "short"])
+    def test_ranking_outside_the_agents_rejected(self, ranking):
+        pn = self.make_panel()
+        with pytest.raises(AspanelError, match="ranking"):
+            study.deletion_faithfulness(pn, valuefn.linear_mean(), ranking, k_max=3)
+
 
 class TestKConvergence:
     def test_monotone_and_quartering(self, abs_gaussian):
@@ -270,6 +289,11 @@ class TestKConvergence:
         assert errs == sorted(errs, reverse=True)
         for ratio in study.convergence_ratios(rows):
             assert 3.2 < ratio < 4.8
+
+    def test_zero_reference_mass_is_degenerate(self):
+        # every agent has the same row, so var's phi are all zero
+        with pytest.raises(DegenerateChangeError):
+            study.k_convergence_sweep(np.ones((10, 3)), valuefn.variance(), [5, 10])
 
     def test_midpoint_reference(self, abs_gaussian):
         z = abs_gaussian(40, seed=18)

@@ -330,18 +330,38 @@ class TestEveryKind:
         assert np.abs(mid.phi - ref.phi).sum() <= np.abs(ref.phi).sum() / 200**2
         assert mid.delta_v == pytest.approx(ref.delta_v, rel=1e-12)
 
-    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.mask_values])
-    def test_mask_values_match_scalar_path(self, name, abs_gaussian, rng):
+    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.coalition])
+    def test_mask_values_match_scalar_path(self, name, abs_gaussian, rng, scalar_calls):
         f = build(name, 8, 3, rng)
         if f is None:
             pytest.skip(f"{name} needs a callback parameter")
         game = baselines.CoalitionGame(f, abs_gaussian(8, seed=51))
-        assert game._fast
         masks = rng.random((30, 8)) < 0.5
+        fast = game.mask_values(masks)
+        assert scalar_calls == []
         slow = np.array([game.value(np.flatnonzero(row)) for row in masks])
-        assert game.mask_values(masks) == pytest.approx(slow, rel=1e-12, abs=1e-12)
+        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.mask_values])
+    @pytest.mark.parametrize("name", list(valuefn.KINDS))
+    def test_coalition_hooks_all_or_none(self, name):
+        hooks = valuefn.KINDS[name].coalition
+        assert hooks is None or (len(hooks) == 4 and all(map(callable, hooks)))
+
+    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.coalition])
+    def test_paired_rows_independent(self, name, abs_gaussian, rng):
+        # each row's paired values equal a one-row call bit for bit, so no
+        # block size of sampled Banzhaf changes its result
+        n = 40
+        f = build(name, n, 3, rng)
+        game = baselines.CoalitionGame(f, np.round(abs_gaussian(n, seed=52), 1))  # with ties
+        masks = rng.random((25, n)) < 0.5
+        with_, without = game.paired_values(masks)
+        for j, row in enumerate(masks):
+            one_with, one_without = game.paired_values(row[None])
+            assert one_with.tobytes() == with_[j].tobytes()
+            assert one_without.tobytes() == without[j].tobytes()
+
+    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.coalition])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_coalition_hooks_match_scalar_value(self, name, data):
@@ -360,18 +380,16 @@ class TestEveryKind:
         # relative to the largest coalition value, so near-zero values compare sanely
         tol = 1e-12 * (1.0 + max(map(abs, slow_masks + slow_prefix)))
         assert game.mask_values(masks) == pytest.approx(slow_masks, rel=1e-12, abs=tol)
-        prefix = f.prefix_values(f.agent_stats(z), perm)
-        assert prefix == pytest.approx(slow_prefix, rel=1e-12, abs=tol)
-        if game._paired:
-            with_, without = game.paired_values(masks)
-            agent = np.eye(n, dtype=bool)
-            slow_with = [[game.value(np.flatnonzero(row | agent[i])) for i in range(n)]
-                         for row in masks]
-            slow_without = [[game.value(np.flatnonzero(row & ~agent[i])) for i in range(n)]
-                            for row in masks]
-            tol = 1e-12 * (1.0 + np.abs(slow_with).max() + np.abs(slow_without).max())
-            assert with_ == pytest.approx(np.array(slow_with), rel=1e-12, abs=tol)
-            assert without == pytest.approx(np.array(slow_without), rel=1e-12, abs=tol)
+        assert game.prefix_values(perm) == pytest.approx(slow_prefix, rel=1e-12, abs=tol)
+        with_, without = game.paired_values(masks)
+        agent = np.eye(n, dtype=bool)
+        slow_with = [[game.value(np.flatnonzero(row | agent[i])) for i in range(n)]
+                     for row in masks]
+        slow_without = [[game.value(np.flatnonzero(row & ~agent[i])) for i in range(n)]
+                        for row in masks]
+        tol = 1e-12 * (1.0 + np.abs(slow_with).max() + np.abs(slow_without).max())
+        assert with_ == pytest.approx(np.array(slow_with), rel=1e-12, abs=tol)
+        assert without == pytest.approx(np.array(slow_without), rel=1e-12, abs=tol)
 
     @pytest.mark.parametrize("name", list(valuefn.KINDS))
     def test_cli_offers_every_kind_it_can_supply(self, name, tmp_path, capsys):
