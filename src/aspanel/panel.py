@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import struct
@@ -92,6 +93,18 @@ class EventRecord(NamedTuple):
         _validate(*self)
 
 
+def _strictly_increasing(ids: Sequence[str]) -> bool:
+    """Whether each id sorts before the next, scanned without a Python loop.
+
+    Sorted ids are unique, and every panel aspanel builds has them: ingest
+    sorts by name and synthetic ids are zero-padded.  Raises AspanelError
+    for ids that do not compare, such as a string beside a number."""
+    try:
+        return all(map(operator.lt, ids, itertools.islice(ids, 1, None)))
+    except TypeError:
+        raise AspanelError("agent ids must be strings") from None
+
+
 @dataclass
 class FeaturePanel:
     """Immutable N x T x D feature tensor with agent identities.
@@ -113,9 +126,10 @@ class FeaturePanel:
             raise AspanelError("panel contains non-finite values")
         if np.any(feats < 0):
             raise AspanelError("panel contains negative values")
-        if len(self.agent_ids) != feats.shape[0]:
+        ids = self.agent_ids
+        if len(ids) != feats.shape[0]:
             raise AspanelError("agent_ids length must match the agent axis")
-        if len(set(self.agent_ids)) != len(self.agent_ids):
+        if not _strictly_increasing(ids) and len(set(ids)) != len(ids):
             raise AspanelError("agent_ids must be unique")
         if len(self.dim_names) != feats.shape[2]:
             object.__setattr__(self, "dim_names", tuple(f"dim{d}" for d in range(feats.shape[2])))
@@ -153,18 +167,22 @@ class FeaturePanel:
         N,T,D, row-major float64 payload, newline-delimited agent ids.
 
         Raises AspanelError, before writing anything, for agent ids that
-        ``load`` could not read back: ids containing a newline or not
-        encodable as UTF-8."""
-        if any("\n" in a for a in self.agent_ids):
+        ``load`` could not read back: ids that are not strings, contain a
+        newline or are not encodable as UTF-8."""
+        try:
+            id_text = "\n".join(self.agent_ids)
+        except TypeError:
+            raise AspanelError("agent ids must be strings") from None
+        if id_text.count("\n") != self.n_agents - 1:  # a newline inside an id
             raise AspanelError("agent ids must not contain a newline")
         try:
-            id_block = "\n".join(self.agent_ids).encode("utf-8")
+            id_block = id_text.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise AspanelError(f"agent ids are not UTF-8 encodable ({exc.reason})") from None
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<3q", self.n_agents, self.n_steps, self.n_dims))
-            fh.write(np.ascontiguousarray(self.features, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(self.features, dtype="<f8").data)  # no payload copy
             fh.write(id_block)
 
     @classmethod
@@ -555,10 +573,10 @@ def make_tier_partition(
 ) -> TierPartition:
     """Rank agents descending by an anchor metric and slice into tiers.
 
-    Ties are broken by agent id (lexicographic; zero-padded indices when
-    ``agent_ids`` is None) so partitions are reproducible.  Group k holds
-    the agents in cumulative-fraction slice k; boundaries are
-    ceil(fraction * N).  Three groups are named top, mid and tail.
+    Ties are broken by agent id (lexicographic; by index when ``agent_ids``
+    is None) so partitions are reproducible.  Group k holds the agents in
+    cumulative-fraction slice k; boundaries are ceil(fraction * N).  Three
+    groups are named top, mid and tail.
     """
     fracs = tuple(float(f) for f in cut_fractions)
     if any(b <= a for a, b in zip(fracs, fracs[1:])) or fracs[-1] != 1.0 or not fracs[0] > 0:
@@ -569,10 +587,13 @@ def make_tier_partition(
     n = len(metric)
     if n < len(fracs):
         raise AspanelError(f"cannot split {n} agents into {len(fracs)} groups")
-    ids = np.asarray(agent_ids) if agent_ids is not None else np.array(
-        [f"{i:09d}" for i in range(n)])
-
-    order = np.lexsort((ids, -metric))
+    if agent_ids is not None and len(agent_ids) != n:
+        raise AspanelError("agent_ids length must match the tier values")
+    if agent_ids is None or _strictly_increasing(agent_ids):
+        # ids in index order: a stable sort already breaks ties by id
+        order = np.argsort(-metric, kind="stable")
+    else:
+        order = np.lexsort((np.asarray(agent_ids), -metric))
     bounds = [math.ceil(f * n) for f in fracs]
     labels = np.empty(n, dtype=np.int64)
     lo = 0
@@ -623,5 +644,6 @@ def generate_synthetic(spec: SyntheticPanelSpec) -> FeaturePanel:
         for d in range(1, spec.n_dims):
             noise = np.abs(rng.standard_normal((spec.n_agents, spec.n_steps)))
             feats[:, :, d] = np.log1p(reach_raw**spec.reach_coupling * noise)
-    ids = [f"a{i:08d}" for i in range(spec.n_agents)]
+    n = spec.n_agents
+    ids = ("a%08d " * n % tuple(range(n))).split()  # f"a{i:08d}", formatted as one string
     return FeaturePanel(feats, ids)

@@ -245,6 +245,8 @@ def deletion_faithfulness(
     ranking = np.asarray(attribution_ranking, dtype=np.int64)
     if ranking.ndim != 1 or len(ranking) < k_max or not np.all((ranking >= 0) & (ranking < n)):
         raise AspanelError(f"the ranking must list at least k_max agent indices in [0, {n})")
+    if len(np.unique(ranking)) != len(ranking):
+        raise AspanelError("the ranking must not repeat an agent")
     half = math.ceil(T / 2) - 1  # 0-based first step of the second half
     step_vals = [f.evaluate(panel.features[:, t, :]) for t in range(half, T)]
     t_star = half + int(np.argmax(step_vals))

@@ -592,6 +592,31 @@ class TestPanelContainer:
             pn.save(path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("ids, match", [(["\n"], "newline"), (["a\nb"], "newline"),
+                                            ([1, 2], "strings"), ([b"a", b"b"], "strings")],
+                             ids=["newline-only", "newline-inside", "ints", "bytes"])
+    def test_save_checks_the_joined_ids(self, tmp_path, ids, match):
+        # one join of all ids: it must have exactly n - 1 newlines and only strings
+        pn = panel.FeaturePanel(np.ones((len(ids), 1, 3)), ids)
+        path = tmp_path / "p.asp"
+        with pytest.raises(AspanelError, match=match):
+            pn.save(path)
+        assert not path.exists()
+
+    def test_load_memory_on_many_agents(self, tmp_path):
+        # 2e5 short ids beside a 14.4 MB payload: the ids are checked by a
+        # sorted-order scan, with no set of them
+        n = 200_000
+        path = tmp_path / "p.asp"
+        panel.FeaturePanel(np.ones((n, 3, 3)), [f"a{i:08d}" for i in range(n)]).save(path)
+        payload = 8 * n * 3 * 3
+        assert traced_peak(lambda: panel.FeaturePanel.load(path)) <= 2.3 * payload
+
+    def test_save_writes_payload_without_a_copy(self, tmp_path):
+        n = 200_000
+        pn = panel.FeaturePanel(np.ones((n, 3, 3)), [f"a{i:08d}" for i in range(n)])
+        assert traced_peak(lambda: pn.save(tmp_path / "p.asp")) <= 0.5 * pn.features.nbytes
+
     def test_load_reads_payload_once(self, tmp_path):
         # 14.4 MB payload on few agents, so the id list is negligible beside it
         pn = panel.FeaturePanel(np.ones((2_000, 300, 3)), [f"u{i}" for i in range(2_000)])
@@ -631,8 +656,19 @@ class TestPanelContainer:
             panel.FeaturePanel(np.full((2, 1, 3), -1.0), ["a", "b"])
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(AspanelError):
-            panel.FeaturePanel(np.ones((2, 1, 3)), ["a", "a"])
+        # adjacent in sorted order, and apart in unsorted ids, where the set decides
+        for ids in (["a", "a"], ["a", "a", "b"], ["b", "a", "b"]):
+            with pytest.raises(AspanelError, match="unique"):
+                panel.FeaturePanel(np.ones((len(ids), 1, 3)), ids)
+
+    def test_unsorted_unique_ids_accepted(self):
+        pn = panel.FeaturePanel(np.ones((3, 1, 3)), ["b", "a", "c"])
+        assert pn.agent_ids == ["b", "a", "c"]
+
+    @pytest.mark.parametrize("ids", [[1, "a"], ["b", None]])
+    def test_ids_that_do_not_compare_rejected(self, ids):
+        with pytest.raises(AspanelError, match="strings"):
+            panel.FeaturePanel(np.ones((2, 1, 3)), ids)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyPanelError):
@@ -669,6 +705,34 @@ class TestTierPartition:
         # among the tied top three, "b" sorts first lexicographically
         assert list(part.group_indices(0)) == [2]
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, np.inf, -np.inf]),
+                  st.text(alphabet="ab\x00", min_size=1, max_size=3)),
+        min_size=3, max_size=30, unique_by=lambda r: r[1]),
+        id_order=st.sampled_from(["sorted", "given", "none"]))
+    def test_ties_match_lexsort(self, rows, id_order):
+        # the partition ranks by (-metric, id) exactly as lexsort does; numpy
+        # drops a trailing "\x00", so lexsort ties "a" with "a\x00" and breaks
+        # the tie by index, which on sorted ids is the stable sort's order too
+        if id_order == "sorted":
+            rows = sorted(rows, key=lambda r: r[1])
+        metric = np.array([m for m, _ in rows])
+        ids = None if id_order == "none" else [a for _, a in rows]
+        n = len(rows)
+        ref_ids = np.array([f"{i:09d}" for i in range(n)]) if ids is None else np.asarray(ids)
+        order = np.lexsort((ref_ids, -metric))
+        # one agent per group, so the labels are the ranks
+        cuts = [(k + 0.5) / n for k in range(n - 1)] + [1.0]
+        part = panel.make_tier_partition(metric, cut_fractions=cuts, agent_ids=ids)
+        assert np.array_equal(part.labels[order], np.arange(n))
+
+    def test_bad_agent_ids_rejected(self):
+        with pytest.raises(AspanelError, match="length"):
+            panel.make_tier_partition(np.arange(4.0), (0.5, 1.0), agent_ids=["a", "b", "c"])
+        with pytest.raises(AspanelError, match="strings"):
+            panel.make_tier_partition(np.arange(2.0), (0.5, 1.0), agent_ids=[1, "a"])
+
     def test_labels_partition_everyone(self, rng):
         metric = rng.random(137)
         part = panel.make_tier_partition(metric)
@@ -697,6 +761,11 @@ class TestSynthetic:
         a = panel.generate_synthetic(spec)
         b = panel.generate_synthetic(spec)
         assert np.array_equal(a.features, b.features)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_ids_zero_padded(self, n):
+        pn = panel.generate_synthetic(panel.SyntheticPanelSpec(n, seed=2))
+        assert pn.agent_ids == [f"a{i:08d}" for i in range(n)]
 
     def test_uniform_law_support(self):
         spec = panel.SyntheticPanelSpec(100, feature_law="uniform_pm1", seed=1)

@@ -280,6 +280,13 @@ class TestDeletion:
         with pytest.raises(AspanelError, match="ranking"):
             study.deletion_faithfulness(pn, valuefn.linear_mean(), ranking, k_max=3)
 
+    @pytest.mark.parametrize("ranking", [[0, 0, 0], [0, 1, 2, 1]])
+    def test_repeated_agents_rejected(self, ranking):
+        # zeroing an agent twice would flatten the drop curve
+        pn = self.make_panel()
+        with pytest.raises(AspanelError, match="repeat"):
+            study.deletion_faithfulness(pn, valuefn.variance(), ranking, k_max=3)
+
 
 class TestKConvergence:
     def test_monotone_and_quartering(self, abs_gaussian):
