@@ -90,9 +90,7 @@ class _Run:
             "timings": self.timings,
             **sections,
         }
-        with open(self.out_dir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        panel.write_json(self.out_dir / "manifest.json", manifest)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -191,9 +189,7 @@ def cmd_attribute(args) -> int:
         "n_agents": pn.n_agents,
         "n_steps": pn.n_steps,
     }
-    with open(run.path(args.out + ".summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    panel.write_json(run.path(args.out + ".summary.json"), summary)
     run.finish()
     print(f"attributed {pn.n_agents} agents over {pn.n_steps} steps; "
           f"max efficiency residual {residuals.max():.3g}")
@@ -223,59 +219,36 @@ def cmd_study(args) -> int:
     run = _Run(args, config_path=args.config)
     pn = _study_panel(cfg, args.seed)
     feats = pn.collapse()
-    part = panel.make_tier_partition(
-        feats[:, 0],
-        _cfg_number(cfg, "cut_fractions", "0.01 0.10 1.0", float, many=True),
-        pn.agent_ids,
-    )
-    f_names = _split(cfg.get("f", "var"))
-    sizes = _cfg_number(cfg, "sizes", "100", many=True)
-    seeds = _cfg_number(cfg, "seeds", " ".join(map(str, range(10))), many=True)
-    pool_fraction = _cfg_number(cfg, "pool_fraction", study.DEFAULT_POOL_FRACTION, float)
-    pool_size = _cfg_number(cfg, "pool_size", study.DEFAULT_POOL_SIZE)
-    if mode == "rescale":
+    if mode == "flip":
+        cuts = _cfg_number(cfg, "cut_fractions", "0.01 0.10 1.0", float, many=True)
+        part = panel.make_tier_partition(feats[:, 0], cuts, pn.agent_ids)
+    if mode == "kconv":
+        K_list = _cfg_number(cfg, "K_list", "5 10 20 30 50 100 300", many=True)
+    else:
+        sizes = _cfg_number(cfg, "sizes", "100", many=True)
+        seeds = _cfg_number(cfg, "seeds", " ".join(map(str, range(10))), many=True)
+        pool_fraction = _cfg_number(cfg, "pool_fraction", study.DEFAULT_POOL_FRACTION, float)
+        pool_size = _cfg_number(cfg, "pool_size", study.DEFAULT_POOL_SIZE)
+        protocols = _split(cfg.get("protocols", "bias_visibility random" if mode == "flip"
+                                   else "bias_visibility"))
         # the rescale CSV has no protocol column, so one run takes one protocol
-        protocols = _split(cfg.get("protocols", "bias_visibility"))
-        if len(protocols) != 1:
+        if mode == "rescale" and len(protocols) != 1:
             raise AspanelError(f"rescale mode takes exactly one protocol, got {protocols}")
-        sampler = study.SubsetSampler(feats, protocols[0], pool_fraction, pool_size)
-    elif mode == "flip":
-        protocols = _split(cfg.get("protocols", "bias_visibility random"))
         # each protocol's pool is ranked once per panel, not once per f
         samplers = {p: study.SubsetSampler(feats, p, pool_fraction, pool_size) for p in protocols}
 
-    for name in f_names:
+    for name in _split(cfg.get("f", "var")):
         f = valuefn.by_name(name)
         if mode == "flip":
             rep = study.flip_study(feats, f, part, samplers, sizes, seeds)
             rep.to_csv(run.path(f"flip_{name}.csv"))
         elif mode == "rescale":
-            full = attribution.normalize(attribution.attribute(f, feats))
-            reports = []
-            for n in sizes:
-                for seed in seeds:
-                    sub = sampler.draw(n, seed)
-                    try:
-                        res = attribution.normalize(
-                            study.subset_attribution(f, feats, sub)
-                        )
-                    except DegenerateChangeError:
-                        continue
-                    reports.append(
-                        scalingbias.optimal_rescale(
-                            res.normalized, full.normalized[sub.indices],
-                            f_kind=name, subset_seed=seed,
-                        )
-                    )
+            reports = study.rescale_study(feats, f, samplers[protocols[0]], sizes, seeds, name)
             scalingbias.write_reports_csv(run.path(f"rescale_{name}.csv"), reports)
         else:  # kconv
-            K_list = _cfg_number(cfg, "K_list", "5 10 20 30 50 100 300", many=True)
             rows = study.k_convergence_sweep(feats, f, K_list)
-            with open(run.path(f"kconv_{name}.csv"), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["K", "rel_l1_error", "seconds"])
-                for r in rows:
-                    w.writerow([r["K"], repr(r["rel_l1_error"]), repr(r["seconds"])])
+            panel.write_table(run.path(f"kconv_{name}.csv"), ["K", "rel_l1_error", "seconds"],
+                              [[r["K"], r["rel_l1_error"], r["seconds"]] for r in rows])
     run.finish()
     print(f"study mode={mode} complete: {len(run.outputs)} output files in {run.out_dir}")
     return EXIT_OK
@@ -322,9 +295,7 @@ def cmd_verify(args) -> int:
         if abs(attribution.attribute_analytic(f, zero_row).phi[0]) > 1e-12:
             raise AssertionError(f"{kind}: null agent received attribution")
         print(f"axioms[{kind}]: efficiency residual {resid:.3g} ok")
-    with open(run.path("verify.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    panel.write_json(run.path("verify.json"), report)
     run.finish()
     print("verify: all checks passed")
     return EXIT_OK

@@ -157,7 +157,11 @@ class FeaturePanel:
         out = np.empty((self.n_agents, self.n_dims))
         out[:, 0] = self.features[:, -1, 0]
         for d in range(1, self.n_dims):
-            out[:, d] = np.log1p(np.expm1(self.features[:, :, d]).sum(axis=1))
+            with np.errstate(over="ignore"):
+                out[:, d] = np.log1p(np.expm1(self.features[:, :, d]).sum(axis=1))
+            if not np.isfinite(out[:, d]).all():
+                raise AspanelError(f"the summed per-step counts of dim {self.dim_names[d]!r} "
+                                   "overflow float64")
         return out
 
     # ---- container I/O ---------------------------------------------------
@@ -259,6 +263,23 @@ def _reprs(values: np.ndarray) -> list[str]:
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     return text[inverse].tolist()
+
+
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A small CSV as ``csv.writer`` writes it, every ``float`` (numpy
+    float64 included) as ``repr(float(v))`` so that it round-trips exactly;
+    other cells as ``csv.writer`` writes them, ``None`` as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON indented by 2, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 # ---- ingestion -----------------------------------------------------------
@@ -593,7 +614,13 @@ def make_tier_partition(
         # ids in index order: a stable sort already breaks ties by id
         order = np.argsort(-metric, kind="stable")
     else:
-        order = np.lexsort((np.asarray(agent_ids), -metric))
+        # ids as Python strings, since a numpy string array drops a trailing
+        # "\x00"; then a stable sort on the values keeps id order within ties
+        try:
+            by_id = np.argsort(np.array(agent_ids, dtype=object), kind="stable")
+        except TypeError:
+            raise AspanelError("agent ids must be strings") from None
+        order = by_id[np.argsort(-metric[by_id], kind="stable")]
     bounds = [math.ceil(f * n) for f in fracs]
     labels = np.empty(n, dtype=np.int64)
     lo = 0

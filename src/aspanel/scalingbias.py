@@ -9,7 +9,6 @@ three-agent counterexample as an executable self-check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import attribution, baselines, valuefn
 from .errors import AspanelError
+from .panel import write_table
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,6 @@ def counterexample_check(tol: float = 1e-12) -> dict:
 
 def write_reports_csv(path, reports: Sequence[RescaleReport]):
     """Aggregate CSV, one row per (panel, f, seed) rescale report."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["f_kind", "n", "seed", "c_star", "epsilon", "spearman"])
-        for r in reports:
-            w.writerow([r.f_kind, r.n, r.subset_seed, repr(r.c_star), repr(r.epsilon),
-                        repr(r.rank_spearman)])
+    write_table(path, ["f_kind", "n", "seed", "c_star", "epsilon", "spearman"],
+                [[r.f_kind, r.n, r.subset_seed, r.c_star, r.epsilon, r.rank_spearman]
+                 for r in reports])

@@ -1,9 +1,8 @@
-"""Experimental harness: sampling protocols, flip study, rank metrics,
-deletion faithfulness, quadrature sweep, and the wall-clock benchmark."""
+"""Experimental harness: sampling protocols, flip and rescale studies, rank
+metrics, deletion faithfulness, quadrature sweep, and the wall-clock benchmark."""
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -14,7 +13,8 @@ import numpy as np
 from . import attribution, baselines
 from .attribution import AttributionResult, attribute, normalize, tier_shares
 from .errors import AspanelError, DegenerateChangeError, InfeasibleError
-from .panel import FeaturePanel, TierPartition
+from .panel import FeaturePanel, TierPartition, write_table
+from .scalingbias import RescaleReport, optimal_rescale
 from .valuefn import ValueFunction, _kendall_tau_b, _spearman_rho
 
 PROTOCOLS = ("bias_visibility", "bias_topic_x_follow", "bias_topic_top", "random")
@@ -66,7 +66,11 @@ class SubsetSampler:
         b = z[:, 1] if z.shape[1] > 1 else np.zeros(N)
         c = z[:, 2] if z.shape[1] > 2 else np.zeros(N)
         if protocol == "bias_visibility":
-            engagement = np.expm1(b) + np.expm1(c)  # counts before log1p
+            with np.errstate(over="ignore"):
+                engagement = np.expm1(b) + np.expm1(c)  # counts before log1p
+            if not np.isfinite(engagement).all():
+                raise AspanelError("bias_visibility: the engagement counts (activity plus "
+                                   "resonance) overflow float64")
             score = _zscore(a) + _zscore(np.log1p(engagement))
             psize = max(1, math.ceil(pool_fraction * N))
             self.param = float(pool_fraction)
@@ -109,7 +113,7 @@ def sample_subset(
     return SubsetSampler(agent_features, protocol, pool_fraction, pool_size).draw(n, seed)
 
 
-# ---- flip study -------------------------------------------------------------
+# ---- flip and rescale studies -----------------------------------------------
 
 
 @dataclass
@@ -120,22 +124,13 @@ class FlipReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            share_cols = [f"share_{g}" for g in self.group_names]
-            delta_cols = [f"delta_pp_{g}" for g in self.group_names]
-            std_cols = [f"std_{g}" for g in self.group_names]
-            w.writerow(["protocol", "n", "n_seeds", "n_degenerate",
-                        *share_cols, *std_cols, *delta_cols])
-            w.writerow(["full", self.n_full, 1, 0,
-                        *(repr(float(s)) for s in self.full_shares),
-                        *(["0.0"] * len(self.group_names)),
-                        *(["0.0"] * len(self.group_names))])
-            for r in self.rows:
-                w.writerow([r["protocol"], r["n"], r["n_seeds"], r["n_degenerate"],
-                            *(repr(float(s)) for s in r["mean_shares"]),
-                            *(repr(float(s)) for s in r["std_shares"]),
-                            *(repr(float(d)) for d in r["delta_pp"])])
+        header = ["protocol", "n", "n_seeds", "n_degenerate",
+                  *(f"{col}_{g}" for col in ("share", "std", "delta_pp") for g in self.group_names)]
+        write_table(path, header, [
+            ["full", self.n_full, 1, 0, *self.full_shares, *[0.0] * (2 * len(self.group_names))],
+            *([r["protocol"], r["n"], r["n_seeds"], r["n_degenerate"],
+               *r["mean_shares"], *r["std_shares"], *r["delta_pp"]] for r in self.rows),
+        ])
 
 
 def subset_attribution(
@@ -143,6 +138,19 @@ def subset_attribution(
 ) -> AttributionResult:
     """Attribute on the restricted panel: features sliced to S, family size |S|."""
     return attribute(f.restrict(subset.indices), agent_features[subset.indices])
+
+
+def _subset_results(agent_features, f, sampler: SubsetSampler, n: int, seeds):
+    """(subset, normalized attribution on it) for each seed's size-n draw that
+    is not degenerate (zero macro change on the subset), and the count that are."""
+    done, degenerate = [], 0
+    for seed in seeds:
+        sub = sampler.draw(n, seed)
+        try:
+            done.append((sub, normalize(subset_attribution(f, agent_features, sub))))
+        except DegenerateChangeError:
+            degenerate += 1
+    return done, degenerate
 
 
 def flip_study(
@@ -166,15 +174,8 @@ def flip_study(
     report = FlipReport(full_shares, partition.group_names, n_full=len(agent_features))
     for protocol, sampler in samplers.items():
         for n in sizes:
-            shares, degenerate = [], 0
-            for seed in seeds:
-                sub = sampler.draw(n, seed)
-                try:
-                    res = normalize(subset_attribution(f, agent_features, sub))
-                except DegenerateChangeError:
-                    degenerate += 1
-                    continue
-                shares.append(tier_shares(res, partition, subset_indices=sub.indices))
+            done, degenerate = _subset_results(agent_features, f, sampler, n, seeds)
+            shares = [tier_shares(res, partition, subset_indices=sub.indices) for sub, res in done]
             arr = np.array(shares) if shares else np.empty((0, partition.n_groups))
             mean = arr.mean(axis=0) if len(arr) else np.full(partition.n_groups, np.nan)
             std = arr.std(axis=0) if len(arr) else np.full(partition.n_groups, np.nan)
@@ -189,6 +190,21 @@ def flip_study(
                 "per_seed_shares": arr,
             })
     return report
+
+
+def rescale_study(agent_features: np.ndarray, f: ValueFunction, sampler: SubsetSampler,
+                  sizes: Sequence[int] = (100,), seeds: Sequence[int] = tuple(range(10)),
+                  f_kind: str = "") -> list[RescaleReport]:
+    """One :func:`optimal_rescale` report per size and seed, sizes outer:
+    the subset's shares against the full panel's shares restricted to it.
+    Degenerate subsets are skipped.  ``sampler`` is built on ``agent_features``."""
+    full = normalize(attribute(f, agent_features)).normalized
+    reports = []
+    for n in sizes:
+        done, _ = _subset_results(agent_features, f, sampler, n, seeds)
+        reports += [optimal_rescale(res.normalized, full[sub.indices],
+                                    f_kind=f_kind, subset_seed=sub.seed) for sub, res in done]
+    return reports
 
 
 # ---- rank agreement ---------------------------------------------------------
@@ -377,19 +393,7 @@ def bench_scaling(
 
 def bench_rows_to_csv(path, rows: list[dict], methods: Sequence[str] = BENCH_METHODS):
     """Wide CSV: one row per N, one column per method (seconds or marker)."""
-    sizes = sorted({r["n"] for r in rows})
-    cell = {(r["n"], r["method"]): r for r in rows}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", *methods])
-        for n in sizes:
-            out = [n]
-            for mth in methods:
-                r = cell.get((n, mth))
-                if r is None:
-                    out.append("")
-                elif r["status"] == "ok":
-                    out.append(repr(r["seconds"]))
-                else:
-                    out.append(r["status"])
-            w.writerow(out)
+    cell = {(r["n"], r["method"]): r["seconds"] if r["status"] == "ok" else r["status"]
+            for r in rows}
+    write_table(path, ["n", *methods],
+                [[n, *(cell.get((n, m)) for m in methods)] for n in sorted({r["n"] for r in rows})])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import aspanel
-from aspanel import attribution, cli, panel, valuefn
+from aspanel import attribution, cli, panel, scalingbias, study, valuefn
 from aspanel.errors import AspanelError
 
 
@@ -398,6 +398,101 @@ class TestCsvBytes:
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def reference_flip_csv(path, rep):
+    """The per-row writer `FlipReport.to_csv` had before `panel.write_table`."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["protocol", "n", "n_seeds", "n_degenerate",
+                    *(f"share_{g}" for g in rep.group_names),
+                    *(f"std_{g}" for g in rep.group_names),
+                    *(f"delta_pp_{g}" for g in rep.group_names)])
+        w.writerow(["full", rep.n_full, 1, 0, *(repr(float(s)) for s in rep.full_shares),
+                    *(["0.0"] * 2 * len(rep.group_names))])
+        for r in rep.rows:
+            w.writerow([r["protocol"], r["n"], r["n_seeds"], r["n_degenerate"],
+                        *(repr(float(v)) for key in ("mean_shares", "std_shares", "delta_pp")
+                          for v in r[key])])
+
+
+def reference_rescale_csv(path, reports):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["f_kind", "n", "seed", "c_star", "epsilon", "spearman"])
+        for r in reports:
+            w.writerow([r.f_kind, r.n, r.subset_seed, repr(float(r.c_star)),
+                        repr(float(r.epsilon)), repr(float(r.rank_spearman))])
+
+
+def reference_bench_csv(path, rows, methods):
+    cell = {(r["n"], r["method"]): r for r in rows}
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", *methods])
+        for n in sorted({r["n"] for r in rows}):
+            out = [n]
+            for m in methods:
+                r = cell.get((n, m))
+                out.append("" if r is None else repr(float(r["seconds"]))
+                           if r["status"] == "ok" else r["status"])
+            w.writerow(out)
+
+
+class TestTableBytes:
+    """Every small table goes through `panel.write_table`; each must equal a
+    per-row `csv.writer` with `repr(float(...))` floats."""
+
+    ODD = [np.float64(0.1) + 0.2, -0.0, np.nan, 2.5, np.float64(-np.inf), 5e-324]
+
+    def test_flip(self, tmp_path):
+        v = np.array(self.ODD[:3])
+        rep = study.FlipReport(np.array([0.5, -0.0, 0.5]), ("top", "mid", "tail"), n_full=9)
+        rep.rows += [{"protocol": "random", "n": 2, "n_seeds": 0, "n_degenerate": 4,
+                      "mean_shares": np.full(3, np.nan), "std_shares": np.full(3, np.nan),
+                      "delta_pp": np.full(3, np.nan)},
+                     {"protocol": "a,b", "n": 5, "n_seeds": 3, "n_degenerate": 1,
+                      "mean_shares": v, "std_shares": v[::-1], "delta_pp": v * 100.0}]
+        rep.to_csv(tmp_path / "flip.csv")
+        reference_flip_csv(tmp_path / "ref.csv", rep)
+        assert (tmp_path / "flip.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_rescale(self, tmp_path):
+        R = scalingbias.RescaleReport
+        reports = [R(np.float64(2.5), 0.0, np.nan, 3, "var", None),
+                   R(*self.ODD[:3], 40, "lin", 7), R(*self.ODD[3:], 2, "gini", 0)]
+        scalingbias.write_reports_csv(tmp_path / "rescale.csv", reports)
+        reference_rescale_csv(tmp_path / "ref.csv", reports)
+        got = (tmp_path / "rescale.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.split(b"\r\n")[1] == b"var,3,,2.5,0.0,nan"  # not "np.float64(2.5)"
+
+    def test_bench(self, tmp_path):
+        methods = ("ours_analytic", "loo", "exact_shapley", "sampled_banzhaf")
+        rows = [{"n": 8, "method": "ours_analytic", "seconds": 1e-05, "status": "ok"},
+                {"n": 8, "method": "exact_shapley", "seconds": np.float64(0.1) + 0.2,
+                 "status": "ok"},
+                {"n": 30, "method": "loo", "seconds": -0.0, "status": "ok"},
+                {"n": 30, "method": "exact_shapley", "seconds": None, "status": "infeasible"},
+                {"n": 30, "method": "sampled_banzhaf", "seconds": None,
+                 "status": "error: a, \"quoted\" cause"}]
+        study.bench_rows_to_csv(tmp_path / "bench.csv", rows, methods)
+        reference_bench_csv(tmp_path / "ref.csv", rows, methods)
+        assert (tmp_path / "bench.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_kconv(self, tmp_path, monkeypatch):
+        rows = [{"K": K, "rel_l1_error": err, "seconds": sec}
+                for K, err, sec in zip((5, 10, 20), self.ODD, self.ODD[3:])]
+        monkeypatch.setattr(study, "k_convergence_sweep", lambda z, f, K_list: rows)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("mode = kconv\nn_agents = 20\nf = heat\n")
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["K", "rel_l1_error", "seconds"])
+            w.writerows([r["K"], repr(float(r["rel_l1_error"])), repr(float(r["seconds"]))]
+                        for r in rows)
+        assert (tmp_path / "kconv_heat.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestStudy:
     def test_flip_mode(self, tmp_path):
         cfg = tmp_path / "study.cfg"
@@ -446,6 +541,33 @@ class TestStudy:
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert "exactly one protocol" in capsys.readouterr().err
         assert not (tmp_path / "rescale_var.csv").exists()
+
+    def test_rescale_mode_on_two_agents(self, tmp_path):
+        # rescale builds no tier partition, which cannot split 2 agents into 3 groups
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("mode = rescale\nn_agents = 2\nlaw = pareto_reach\nf = var\n"
+                       "sizes = 2\nseeds = 0 1\n")
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "rescale_var.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["seed"] for r in rows] == ["0", "1"]
+        assert all(float(r["c_star"]) == pytest.approx(1.0) for r in rows)
+
+    @pytest.mark.parametrize("mode", ["flip", "rescale"])
+    @pytest.mark.parametrize("dims,value,cause", [
+        ([1], 800.0, "the summed per-step counts of dim 'activity' overflow float64"),
+        ([1, 2], 709.5, "bias_visibility: the engagement counts"),
+    ])
+    def test_overflowing_counts_are_data_error(self, tmp_path, capsys, mode, dims, value, cause):
+        feats = np.ones((20, 1, 3))
+        feats[0, 0, dims] = value
+        panel.FeaturePanel(feats, [f"a{i:02d}" for i in range(20)]).save(tmp_path / "p.asp")
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"mode = {mode}\npanel = {tmp_path / 'p.asp'}\nf = var\n"
+                       "sizes = 5\nseeds = 0\n")
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cause}") and err.count("\n") == 1
 
     def test_kconv_mode(self, tmp_path):
         cfg = tmp_path / "study.cfg"
@@ -515,8 +637,10 @@ class TestVerify:
         assert run(["verify", "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
-        rep = json.loads((tmp_path / "verify.json").read_text())
+        text = (tmp_path / "verify.json").read_text()
+        rep = json.loads(text)
         assert rep["max_abs_error"] <= 1e-12
+        assert text == json.dumps(rep, indent=2) + "\n"
 
 
 class TestImport:

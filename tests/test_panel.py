@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aspanel import cli, panel
@@ -688,6 +688,14 @@ class TestPanelContainer:
         assert out[0, 0] == pytest.approx(math.log1p(7))  # last-step reach
         assert out[0, 1] == pytest.approx(math.log1p(7))  # log1p(2 + 5)
 
+    @pytest.mark.parametrize("steps", [[800.0], [709.5, 709.5]])
+    def test_collapse_overflow_is_named(self, steps):
+        # expm1(800) overflows, and so does the sum of two expm1(709.5)
+        feats = np.zeros((2, len(steps), 3))
+        feats[0, :, 1] = steps
+        with pytest.raises(AspanelError, match="counts of dim 'activity' overflow"):
+            panel.FeaturePanel(feats, ["a", "b"]).collapse()
+
 
 class TestTierPartition:
     def test_boundaries(self):
@@ -711,17 +719,17 @@ class TestTierPartition:
                   st.text(alphabet="ab\x00", min_size=1, max_size=3)),
         min_size=3, max_size=30, unique_by=lambda r: r[1]),
         id_order=st.sampled_from(["sorted", "given", "none"]))
+    @example(rows=[(1.0, "a\x00"), (1.0, "a"), (0.0, "b")], id_order="given")
     def test_ties_match_lexsort(self, rows, id_order):
-        # the partition ranks by (-metric, id) exactly as lexsort does; numpy
-        # drops a trailing "\x00", so lexsort ties "a" with "a\x00" and breaks
-        # the tie by index, which on sorted ids is the stable sort's order too
+        # the partition sorts on (-metric, id) as a lexsort does, ids in
+        # Python's string order, where "a" < "a\x00"; with no ids, ties go by index
         if id_order == "sorted":
             rows = sorted(rows, key=lambda r: r[1])
         metric = np.array([m for m, _ in rows])
         ids = None if id_order == "none" else [a for _, a in rows]
         n = len(rows)
-        ref_ids = np.array([f"{i:09d}" for i in range(n)]) if ids is None else np.asarray(ids)
-        order = np.lexsort((ref_ids, -metric))
+        keys = range(n) if ids is None else ids
+        order = sorted(range(n), key=lambda i: (-metric[i], keys[i]))
         # one agent per group, so the labels are the ranks
         cuts = [(k + 0.5) / n for k in range(n - 1)] + [1.0]
         part = panel.make_tier_partition(metric, cut_fractions=cuts, agent_ids=ids)

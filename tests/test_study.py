@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aspanel import attribution, cli, panel, study, valuefn
+from aspanel import attribution, cli, panel, scalingbias, study, valuefn
 from aspanel.errors import AspanelError, DegenerateChangeError
 from aspanel.panel import FeaturePanel, SyntheticPanelSpec, generate_synthetic, make_tier_partition
 
@@ -61,6 +61,14 @@ class TestSampling:
     def test_unknown_protocol(self, pareto_feats):
         with pytest.raises(AspanelError):
             study.sample_subset(pareto_feats, "bias_mood", 10, seed=0)
+
+    def test_visibility_engagement_overflow_is_named(self):
+        # expm1(709.5) is finite, but the sum of two overflows: the score would
+        # be inf and its z-score zero, ranking the pool by reach alone
+        z = np.ones((20, 3))
+        z[0, 1:] = 709.5
+        with pytest.raises(AspanelError, match="engagement counts .* overflow"):
+            study.SubsetSampler(z, "bias_visibility", 0.05, 10)
 
 
 def reference_subset(z, protocol, n, seed, pool_fraction, pool_size):
@@ -192,6 +200,46 @@ class TestFlipStudy:
         res = study.subset_attribution(valuefn.variance(), pareto_feats, sub)
         direct = attribution.attribute(valuefn.variance(), pareto_feats[sub.indices])
         assert res.phi == pytest.approx(direct.phi, abs=1e-12)
+
+
+def reference_rescale(z, f, sampler, sizes, seeds, name):
+    """The rescale loop as `aspanel study` ran it before `study.rescale_study`."""
+    full = attribution.normalize(attribution.attribute(f, z))
+    reports = []
+    for n in sizes:
+        for seed in seeds:
+            sub = sampler.draw(n, seed)
+            try:
+                res = attribution.normalize(study.subset_attribution(f, z, sub))
+            except DegenerateChangeError:
+                continue
+            reports.append(scalingbias.optimal_rescale(
+                res.normalized, full.normalized[sub.indices], f_kind=name, subset_seed=seed))
+    return reports
+
+
+class TestRescaleStudy:
+    @pytest.mark.parametrize("name", ["lin", "var", "gini"])
+    def test_matches_reference_loop(self, name):
+        # three nonzero agents: a subset that misses them is degenerate, and
+        # every size-2 subset these seeds draw misses them
+        z = np.zeros((60, 3))
+        z[:3] = 1.0
+        f = valuefn.by_name(name)
+        sampler = study.SubsetSampler(z, "random", 0.05, 10)
+        sizes, seeds = (2, 5, 20), range(5)
+        got = study.rescale_study(z, f, sampler, sizes, seeds, name)
+        want = reference_rescale(z, f, sampler, sizes, seeds, name)
+        assert repr(got) == repr(want)  # exact floats, NaN rank correlations included
+        assert got and {r.n for r in got} == {5, 20}
+
+    def test_pareto_panel(self, pareto_feats):
+        f = valuefn.variance()
+        sampler = study.SubsetSampler(pareto_feats, "bias_visibility", 0.05, 5000)
+        got = study.rescale_study(pareto_feats, f, sampler, (50, 300), range(3), "var")
+        assert repr(got) == repr(reference_rescale(pareto_feats, f, sampler, (50, 300),
+                                                   range(3), "var"))
+        assert [(r.n, r.subset_seed) for r in got] == [(n, s) for n in (50, 300) for s in range(3)]
 
 
 class TestRankAgreement:
