@@ -243,7 +243,7 @@ def cmd_study(args) -> int:
             rep = study.flip_study(feats, f, part, samplers, sizes, seeds)
             rep.to_csv(run.path(f"flip_{name}.csv"))
         elif mode == "rescale":
-            reports = study.rescale_study(feats, f, samplers[protocols[0]], sizes, seeds, name)
+            reports = study.rescale_study(feats, f, samplers[protocols[0]], sizes, seeds)
             scalingbias.write_reports_csv(run.path(f"rescale_{name}.csv"), reports)
         else:  # kconv
             rows = study.k_convergence_sweep(feats, f, K_list)

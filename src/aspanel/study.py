@@ -62,6 +62,8 @@ class SubsetSampler:
         if protocol == "random":
             self.param = 0.0
             return
+        if not np.isfinite(z).all():
+            raise AspanelError(f"{protocol}: features contain non-finite values")
         a = z[:, 0]
         b = z[:, 1] if z.shape[1] > 1 else np.zeros(N)
         c = z[:, 2] if z.shape[1] > 2 else np.zeros(N)
@@ -141,16 +143,14 @@ def subset_attribution(
 
 
 def _subset_results(agent_features, f, sampler: SubsetSampler, n: int, seeds):
-    """(subset, normalized attribution on it) for each seed's size-n draw that
-    is not degenerate (zero macro change on the subset), and the count that are."""
-    done, degenerate = [], 0
+    """Yield (subset, normalized attribution on it) for each seed's size-n
+    draw, skipping degenerate ones (zero macro change on the subset)."""
     for seed in seeds:
         sub = sampler.draw(n, seed)
         try:
-            done.append((sub, normalize(subset_attribution(f, agent_features, sub))))
+            yield sub, normalize(subset_attribution(f, agent_features, sub))
         except DegenerateChangeError:
-            degenerate += 1
-    return done, degenerate
+            pass
 
 
 def flip_study(
@@ -174,8 +174,8 @@ def flip_study(
     report = FlipReport(full_shares, partition.group_names, n_full=len(agent_features))
     for protocol, sampler in samplers.items():
         for n in sizes:
-            done, degenerate = _subset_results(agent_features, f, sampler, n, seeds)
-            shares = [tier_shares(res, partition, subset_indices=sub.indices) for sub, res in done]
+            shares = [tier_shares(res, partition, subset_indices=sub.indices)
+                      for sub, res in _subset_results(agent_features, f, sampler, n, seeds)]
             arr = np.array(shares) if shares else np.empty((0, partition.n_groups))
             mean = arr.mean(axis=0) if len(arr) else np.full(partition.n_groups, np.nan)
             std = arr.std(axis=0) if len(arr) else np.full(partition.n_groups, np.nan)
@@ -183,7 +183,7 @@ def flip_study(
                 "protocol": protocol,
                 "n": n,
                 "n_seeds": len(shares),
-                "n_degenerate": degenerate,
+                "n_degenerate": len(seeds) - len(shares),
                 "mean_shares": mean,
                 "std_shares": std,
                 "delta_pp": (mean - full_shares) * 100.0,
@@ -193,18 +193,14 @@ def flip_study(
 
 
 def rescale_study(agent_features: np.ndarray, f: ValueFunction, sampler: SubsetSampler,
-                  sizes: Sequence[int] = (100,), seeds: Sequence[int] = tuple(range(10)),
-                  f_kind: str = "") -> list[RescaleReport]:
+                  sizes: Sequence[int] = (100,), seeds: Sequence[int] = tuple(range(10))
+                  ) -> list[RescaleReport]:
     """One :func:`optimal_rescale` report per size and seed, sizes outer:
     the subset's shares against the full panel's shares restricted to it.
     Degenerate subsets are skipped.  ``sampler`` is built on ``agent_features``."""
     full = normalize(attribute(f, agent_features)).normalized
-    reports = []
-    for n in sizes:
-        done, _ = _subset_results(agent_features, f, sampler, n, seeds)
-        reports += [optimal_rescale(res.normalized, full[sub.indices],
-                                    f_kind=f_kind, subset_seed=sub.seed) for sub, res in done]
-    return reports
+    return [optimal_rescale(res.normalized, full[sub.indices], f_kind=f.kind, subset_seed=sub.seed)
+            for n in sizes for sub, res in _subset_results(agent_features, f, sampler, n, seeds)]
 
 
 # ---- rank agreement ---------------------------------------------------------

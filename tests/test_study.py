@@ -70,6 +70,14 @@ class TestSampling:
         with pytest.raises(AspanelError, match="engagement counts .* overflow"):
             study.SubsetSampler(z, "bias_visibility", 0.05, 10)
 
+    @pytest.mark.parametrize("protocol", ["bias_visibility", "bias_topic_x_follow", "bias_topic_top"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_biased_pool_rejects_non_finite_features(self, protocol, bad):
+        z = np.ones((20, 3))
+        z[0, 1] = bad
+        with pytest.raises(AspanelError, match="non-finite"):
+            study.SubsetSampler(z, protocol, 0.05, 10)
+
 
 def reference_subset(z, protocol, n, seed, pool_fraction, pool_size):
     """The four sampling protocols from their definitions: score, stable
@@ -228,7 +236,7 @@ class TestRescaleStudy:
         f = valuefn.by_name(name)
         sampler = study.SubsetSampler(z, "random", 0.05, 10)
         sizes, seeds = (2, 5, 20), range(5)
-        got = study.rescale_study(z, f, sampler, sizes, seeds, name)
+        got = study.rescale_study(z, f, sampler, sizes, seeds)
         want = reference_rescale(z, f, sampler, sizes, seeds, name)
         assert repr(got) == repr(want)  # exact floats, NaN rank correlations included
         assert got and {r.n for r in got} == {5, 20}
@@ -236,7 +244,7 @@ class TestRescaleStudy:
     def test_pareto_panel(self, pareto_feats):
         f = valuefn.variance()
         sampler = study.SubsetSampler(pareto_feats, "bias_visibility", 0.05, 5000)
-        got = study.rescale_study(pareto_feats, f, sampler, (50, 300), range(3), "var")
+        got = study.rescale_study(pareto_feats, f, sampler, (50, 300), range(3))
         assert repr(got) == repr(reference_rescale(pareto_feats, f, sampler, (50, 300),
                                                    range(3), "var"))
         assert [(r.n, r.subset_seed) for r in got] == [(n, s) for n in (50, 300) for s in range(3)]
