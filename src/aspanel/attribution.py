@@ -265,10 +265,7 @@ class TemporalAttributionResult:
 
     def group_totals(self, partition: TierPartition) -> np.ndarray:
         """(n_groups, n_steps) attribution mass per tier per step."""
-        out = np.zeros((partition.n_groups, self.phi.shape[1]))
-        for k in range(partition.n_groups):
-            out[k] = self.phi[partition.group_indices(k)].sum(axis=0)
-        return out
+        return _tier_sums(self.phi, partition.labels, partition.n_groups)
 
 
 def attribute_temporal(
@@ -298,26 +295,11 @@ def attribute_temporal(
     return TemporalAttributionResult(phi, dv, base, last_method, scale)
 
 
-def group_share(
-    result: AttributionResult,
-    partition: TierPartition,
-    group: int,
-    subset_indices: Optional[Sequence[int]] = None,
-) -> float:
-    """Total normalized share held by one tier within the attributed set.
-
-    ``subset_indices`` maps result rows to panel agent positions when the
-    result was computed on a subset of the partitioned population.
-    """
-    if result.normalized is None:
-        raise AspanelError("group_share needs a normalized result")
-    if subset_indices is None:
-        labels = partition.labels
-        if len(labels) != result.n_agents:
-            raise AspanelError("partition size does not match result; pass subset_indices")
-    else:
-        labels = partition.labels[np.asarray(subset_indices, dtype=np.int64)]
-    return float(result.normalized[labels == group].sum())
+def _tier_sums(values: np.ndarray, labels: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sum of the rows of ``values`` in each group, in group order."""
+    if len(labels) != len(values):
+        raise AspanelError(f"{len(labels)} tier labels for {len(values)} attributed rows")
+    return np.array([values[labels == k].sum(axis=0) for k in range(n_groups)])
 
 
 def tier_shares(
@@ -325,6 +307,26 @@ def tier_shares(
     partition: TierPartition,
     subset_indices: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    return np.array(
-        [group_share(result, partition, k, subset_indices) for k in range(partition.n_groups)]
-    )
+    """Total normalized share held by each tier within the attributed set.
+
+    ``subset_indices`` maps result rows to panel agent positions when the
+    result was computed on a subset of the partitioned population.
+    """
+    if result.normalized is None:
+        raise AspanelError("tier shares need a normalized result")
+    labels = partition.labels
+    if subset_indices is not None:
+        labels = labels[np.asarray(subset_indices, dtype=np.int64)]
+    return _tier_sums(result.normalized, labels, partition.n_groups)
+
+
+def group_share(
+    result: AttributionResult,
+    partition: TierPartition,
+    group: int,
+    subset_indices: Optional[Sequence[int]] = None,
+) -> float:
+    """Total normalized share held by one tier; see :func:`tier_shares`."""
+    if not 0 <= group < partition.n_groups:
+        raise AspanelError(f"group {group} is not one of the {partition.n_groups} tiers")
+    return float(tier_shares(result, partition, subset_indices)[group])

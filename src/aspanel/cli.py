@@ -1,7 +1,7 @@
 """Command-line entry point: every pipeline as a subcommand.
 
 Exit codes: 0 ok, 1 data error, 2 usage error.  Every run writes a manifest
-JSON (command line, config hash, seeds, version, outputs, timings; ingest
+JSON (command line, config hash, seed, version, outputs, timings; ingest
 adds its record counters) into the output directory; re-running with
 identical inputs reproduces byte-identical non-timing outputs.
 """
@@ -94,7 +94,7 @@ class _Run:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
+    # not --seed: only synth, bench and verify draw one; other manifests say null
     p.add_argument("--out-dir", default=".")
 
 
@@ -196,28 +196,16 @@ def cmd_attribute(args) -> int:
     return EXIT_OK
 
 
-def _study_panel(cfg, seed: int):
-    if "panel" in cfg:
-        return panel.FeaturePanel.load(cfg["panel"])
-    spec = panel.SyntheticPanelSpec(
-        n_agents=_cfg_number(cfg, "n_agents", 10000),
-        n_steps=_cfg_number(cfg, "n_steps", 1),
-        n_dims=_cfg_number(cfg, "n_dims", 3),
-        feature_law=cfg.get("law", "pareto_reach"),
-        pareto_alpha=_cfg_number(cfg, "pareto_alpha", 1.5, float),
-        reach_coupling=_cfg_number(cfg, "reach_coupling", 1.0, float),
-        seed=_cfg_number(cfg, "panel_seed", seed),
-    )
-    return panel.generate_synthetic(spec)
-
-
 def cmd_study(args) -> int:
     cfg = read_kv_config(args.config)
     mode = cfg.get("mode", "flip")
     if mode not in ("flip", "rescale", "kconv"):
         raise AspanelError(f"unknown study mode {mode!r}")
-    run = _Run(args, config_path=args.config)
-    pn = _study_panel(cfg, args.seed)
+    if "panel" not in cfg:
+        raise AspanelError("study config has no 'panel = <file>'; write one with aspanel synth")
+    # every name and key is checked, and the panel read, before any output
+    fs = [valuefn.by_name(name) for name in _split(cfg.get("f", "var"))]
+    pn = panel.FeaturePanel.load(cfg["panel"])
     feats = pn.collapse()
     if mode == "flip":
         cuts = _cfg_number(cfg, "cut_fractions", "0.01 0.10 1.0", float, many=True)
@@ -237,17 +225,17 @@ def cmd_study(args) -> int:
         # each protocol's pool is ranked once per panel, not once per f
         samplers = {p: study.SubsetSampler(feats, p, pool_fraction, pool_size) for p in protocols}
 
-    for name in _split(cfg.get("f", "var")):
-        f = valuefn.by_name(name)
+    run = _Run(args, config_path=args.config)
+    for f in fs:
         if mode == "flip":
             rep = study.flip_study(feats, f, part, samplers, sizes, seeds)
-            rep.to_csv(run.path(f"flip_{name}.csv"))
+            rep.to_csv(run.path(f"flip_{f.kind}.csv"))
         elif mode == "rescale":
             reports = study.rescale_study(feats, f, samplers[protocols[0]], sizes, seeds)
-            scalingbias.write_reports_csv(run.path(f"rescale_{name}.csv"), reports)
+            scalingbias.write_reports_csv(run.path(f"rescale_{f.kind}.csv"), reports)
         else:  # kconv
             rows = study.k_convergence_sweep(feats, f, K_list)
-            panel.write_table(run.path(f"kconv_{name}.csv"), ["K", "rel_l1_error", "seconds"],
+            panel.write_table(run.path(f"kconv_{f.kind}.csv"), ["K", "rel_l1_error", "seconds"],
                               [[r["K"], r["rel_l1_error"], r["seconds"]] for r in rows])
     run.finish()
     print(f"study mode={mode} complete: {len(run.outputs)} output files in {run.out_dir}")
@@ -333,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pareto-alpha", type=float, default=1.5)
     p.add_argument("--reach-coupling", type=float, default=1.0)
     p.add_argument("--out", default="panel.asp")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -355,10 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="wall-clock scaling benchmark")
     p.add_argument("--config")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the counterexample and axiom self-checks")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
     return ap

@@ -105,7 +105,7 @@ def _strictly_increasing(ids: Sequence[str]) -> bool:
         raise AspanelError("agent ids must be strings") from None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FeaturePanel:
     """Immutable N x T x D feature tensor with agent identities.
 
@@ -114,7 +114,6 @@ class FeaturePanel:
 
     features: np.ndarray
     agent_ids: list[str]
-    dim_names: tuple[str, ...] = DEFAULT_DIM_NAMES
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -131,10 +130,8 @@ class FeaturePanel:
             raise AspanelError("agent_ids length must match the agent axis")
         if not _strictly_increasing(ids) and len(set(ids)) != len(ids):
             raise AspanelError("agent_ids must be unique")
-        if len(self.dim_names) != feats.shape[2]:
-            object.__setattr__(self, "dim_names", tuple(f"dim{d}" for d in range(feats.shape[2])))
         feats.setflags(write=False)
-        self.features = feats
+        object.__setattr__(self, "features", feats)
 
     @property
     def n_agents(self) -> int:
@@ -147,6 +144,12 @@ class FeaturePanel:
     @property
     def n_dims(self) -> int:
         return self.features.shape[2]
+
+    @property
+    def dim_names(self) -> tuple[str, ...]:
+        """reach, activity, resonance for three dims; dim0, dim1, ... otherwise."""
+        D = self.n_dims
+        return DEFAULT_DIM_NAMES if D == 3 else tuple(f"dim{d}" for d in range(D))
 
     def step_slice(self, t: int) -> np.ndarray:
         return self.features[:, t, :]

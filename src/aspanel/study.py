@@ -37,9 +37,12 @@ class SubsetSpec:
         object.__setattr__(self, "indices", idx)
 
 
-def _zscore(x: np.ndarray) -> np.ndarray:
-    sd = x.std()
-    return (x - x.mean()) / sd if sd > 0 else np.zeros_like(x)
+def _zscore(x: np.ndarray, name: str) -> np.ndarray:
+    with np.errstate(over="ignore"):  # std squares each deviation
+        mean, sd = x.mean(), x.std()
+    if not (np.isfinite(mean) and np.isfinite(sd)):
+        raise AspanelError(f"bias_visibility: the {name} mean or spread overflows float64")
+    return (x - mean) / sd if sd > 0 else np.zeros_like(x)
 
 
 class SubsetSampler:
@@ -73,7 +76,7 @@ class SubsetSampler:
             if not np.isfinite(engagement).all():
                 raise AspanelError("bias_visibility: the engagement counts (activity plus "
                                    "resonance) overflow float64")
-            score = _zscore(a) + _zscore(np.log1p(engagement))
+            score = _zscore(a, "reach") + _zscore(np.log1p(engagement), "engagement")
             psize = max(1, math.ceil(pool_fraction * N))
             self.param = float(pool_fraction)
         else:

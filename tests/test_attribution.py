@@ -659,3 +659,39 @@ class TestGroupShares:
         res = attribution.normalize(attribution.attribute(valuefn.variance(), z[:10]))
         with pytest.raises(AspanelError):
             attribution.group_share(res, part, 0)
+
+    @pytest.mark.parametrize("sub", [np.arange(9), np.arange(11)], ids=["short", "long"])
+    def test_subset_indices_of_wrong_length_rejected(self, abs_gaussian, sub):
+        # one partition row per result row, or numpy's bare IndexError
+        z = abs_gaussian(40, seed=23)
+        part = panel.make_tier_partition(z[:, 0])
+        res = attribution.normalize(attribution.attribute(valuefn.variance(), z[:10]))
+        for call in (lambda: attribution.tier_shares(res, part, subset_indices=sub),
+                     lambda: attribution.group_share(res, part, 0, subset_indices=sub)):
+            with pytest.raises(AspanelError, match="9 tier labels|11 tier labels"):
+                call()
+
+    def test_group_out_of_range_rejected(self, abs_gaussian):
+        z = abs_gaussian(40, seed=23)
+        part = panel.make_tier_partition(z[:, 0])
+        res = attribution.normalize(attribution.attribute(valuefn.variance(), z))
+        for group in (-1, part.n_groups):
+            with pytest.raises(AspanelError, match="tiers"):
+                attribution.group_share(res, part, group)
+
+    def test_tier_shares_and_group_totals_match_group_loops(self, abs_gaussian):
+        # the per-group loops the one tier sum replaced, compared bit for bit
+        z = abs_gaussian(40, seed=24)
+        part = panel.make_tier_partition(z[:, 0])
+        res = attribution.normalize(attribution.attribute(valuefn.variance(), z))
+        want = np.array([float(res.normalized[part.labels == k].sum())
+                         for k in range(part.n_groups)])
+        assert attribution.tier_shares(res, part).tobytes() == want.tobytes()
+        pn = panel.FeaturePanel(np.abs(np.stack([z, z[::-1]], axis=1)), [f"a{i:02d}" for i in range(40)])
+        tres = attribution.attribute_temporal(valuefn.variance(), pn)
+        want = np.zeros((part.n_groups, 2))
+        for k in range(part.n_groups):
+            want[k] = tres.phi[part.group_indices(k)].sum(axis=0)
+        assert tres.group_totals(part).tobytes() == want.tobytes()
+        with pytest.raises(AspanelError, match="10 tier labels for 40 attributed rows"):
+            tres.group_totals(panel.make_tier_partition(z[:10, 0]))

@@ -183,6 +183,32 @@ class TestSynth:
                     "--out-dir", str(tmp_path)]) == 2
 
 
+class TestSeedFlag:
+    """--seed exists only on synth, bench and verify, which draw from it."""
+
+    @pytest.mark.parametrize("command", ["ingest", "attribute", "study"])
+    def test_rejected_where_no_seed_is_drawn(self, events_file, panel_file, tmp_path,
+                                             study_config, command):
+        argv = {"ingest": [str(events_file), "solar", "--window-start", "100",
+                           "--window-end", "300", "--step", "100"],
+                "attribute": [str(panel_file), "--f", "var"],
+                "study": [str(study_config("mode = kconv\nf = heat\nK_list = 5\n", 20))]}
+        out = tmp_path / "seeded"
+        assert run([command, *argv[command], "--seed", "1", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_manifest_seed_is_null_where_none_is_drawn(self, panel_file, tmp_path):
+        def seed(out_dir):
+            return json.loads((out_dir / "manifest.json").read_text())["seed"]
+
+        assert seed(tmp_path) == 3  # the panel_file fixture's synth --seed 3
+        assert run(["verify", "--seed", "5", "--out-dir", str(tmp_path / "v")]) == 0
+        assert seed(tmp_path / "v") == 5
+        assert run(["attribute", str(panel_file), "--f", "var",
+                    "--out-dir", str(tmp_path / "a")]) == 0
+        assert seed(tmp_path / "a") is None
+
+
 class TestAttribute:
     def test_csv_and_summary(self, panel_file, tmp_path):
         out = tmp_path / "attr.csv"
@@ -478,12 +504,11 @@ class TestTableBytes:
         reference_bench_csv(tmp_path / "ref.csv", rows, methods)
         assert (tmp_path / "bench.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_kconv(self, tmp_path, monkeypatch):
+    def test_kconv(self, tmp_path, monkeypatch, study_config):
         rows = [{"K": K, "rel_l1_error": err, "seconds": sec}
                 for K, err, sec in zip((5, 10, 20), self.ODD, self.ODD[3:])]
         monkeypatch.setattr(study, "k_convergence_sweep", lambda z, f, K_list: rows)
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text("mode = kconv\nn_agents = 20\nf = heat\n")
+        cfg = study_config("mode = kconv\nf = heat\n", 20)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -494,23 +519,16 @@ class TestTableBytes:
 
 
 class TestStudy:
-    def test_flip_mode(self, tmp_path):
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text(
-            "mode = flip\nn_agents = 2000\nlaw = pareto_reach\npanel_seed = 7\n"
-            "f = var\nprotocols = bias_visibility random\nsizes = 50\n"
-            "seeds = 0 1 2\n"
-        )
+    def test_flip_mode(self, tmp_path, study_config):
+        cfg = study_config("mode = flip\nf = var\nprotocols = bias_visibility random\n"
+                           "sizes = 50\nseeds = 0 1 2\n", 2000, seed=7)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         lines = (tmp_path / "flip_var.csv").read_text().strip().split("\n")
         assert len(lines) == 4
 
-    def test_rescale_mode(self, tmp_path):
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text(
-            "mode = rescale\nn_agents = 1000\nlaw = pareto_reach\npanel_seed = 7\n"
-            "f = lin var\nprotocols = bias_visibility\nsizes = 50\nseeds = 0 1\n"
-        )
+    def test_rescale_mode(self, tmp_path, study_config):
+        cfg = study_config("mode = rescale\nf = lin var\nprotocols = bias_visibility\n"
+                           "sizes = 50\nseeds = 0 1\n", 1000, seed=7)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         for name in ("lin", "var"):
             rows = (tmp_path / f"rescale_{name}.csv").read_text().strip().split("\n")
@@ -521,32 +539,27 @@ class TestStudy:
                    (tmp_path / "rescale_lin.csv").read_text().strip().split("\n")[1:]]
         assert max(eps_lin) <= 1e-9
 
-    def test_rescale_defaults_to_bias_visibility(self, tmp_path):
-        body = ("mode = rescale\nn_agents = 1000\nlaw = pareto_reach\npanel_seed = 7\n"
-                "f = var\nsizes = 50\nseeds = 0 1\n")
+    def test_rescale_defaults_to_bias_visibility(self, tmp_path, study_config):
+        body = "mode = rescale\nf = var\nsizes = 50\nseeds = 0 1\n"
         out = {}
         for tag, extra in (("default", ""), ("explicit", "protocols = bias_visibility\n")):
-            cfg = tmp_path / f"{tag}.cfg"
-            cfg.write_text(body + extra)
+            cfg = study_config(body + extra, 1000, seed=7, name=f"{tag}.cfg")
             assert run(["study", str(cfg), "--out-dir", str(tmp_path / tag)]) == 0
             out[tag] = (tmp_path / tag / "rescale_var.csv").read_bytes()
         assert out["default"] == out["explicit"]
 
     @pytest.mark.parametrize("protocols", ["bias_visibility random", ""])
-    def test_rescale_takes_exactly_one_protocol(self, tmp_path, protocols, capsys):
+    def test_rescale_takes_exactly_one_protocol(self, tmp_path, protocols, capsys, study_config):
         # the rescale CSV has no protocol column: a second protocol was dropped
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text("mode = rescale\nn_agents = 300\nlaw = pareto_reach\n"
-                       f"f = var\nprotocols = {protocols}\nsizes = 50\nseeds = 0\n")
+        cfg = study_config(f"mode = rescale\nf = var\nprotocols = {protocols}\nsizes = 50\n"
+                           "seeds = 0\n", 300)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert "exactly one protocol" in capsys.readouterr().err
         assert not (tmp_path / "rescale_var.csv").exists()
 
-    def test_rescale_mode_on_two_agents(self, tmp_path):
+    def test_rescale_mode_on_two_agents(self, tmp_path, study_config):
         # rescale builds no tier partition, which cannot split 2 agents into 3 groups
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text("mode = rescale\nn_agents = 2\nlaw = pareto_reach\nf = var\n"
-                       "sizes = 2\nseeds = 0 1\n")
+        cfg = study_config("mode = rescale\nf = var\nsizes = 2\nseeds = 0 1\n", 2)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         with open(tmp_path / "rescale_var.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -569,10 +582,8 @@ class TestStudy:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cause}") and err.count("\n") == 1
 
-    def test_kconv_mode(self, tmp_path):
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text("mode = kconv\nn_agents = 200\nlaw = abs_gaussian\n"
-                       "f = heat\nK_list = 5 10 20\n")
+    def test_kconv_mode(self, tmp_path, study_config):
+        cfg = study_config("mode = kconv\nf = heat\nK_list = 5 10 20\n", 200, law="abs_gaussian")
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         rows = (tmp_path / "kconv_heat.csv").read_text().strip().split("\n")
         assert rows[0] == "K,rel_l1_error,seconds"
@@ -584,6 +595,39 @@ class TestStudy:
         cfg.write_text("mode = dance\n")
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
+    def test_cli_flip_equals_library_flip(self, tmp_path, study_config):
+        # a saved synthetic panel through `aspanel study` gives the library's table
+        cfg = study_config(f"mode = flip\nf = var gini\nprotocols = {' '.join(study.PROTOCOLS)}\n"
+                           "sizes = 50 100\nseeds = 0 1 2\n", 2000, seed=7)
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path / "cli")]) == 0
+        pn = panel.generate_synthetic(panel.SyntheticPanelSpec(2000, feature_law="pareto_reach",
+                                                               seed=7))
+        z = pn.collapse()
+        part = panel.make_tier_partition(z[:, 0], panel.DEFAULT_CUT_FRACTIONS, pn.agent_ids)
+        samplers = {p: study.SubsetSampler(z, p, study.DEFAULT_POOL_FRACTION,
+                                           study.DEFAULT_POOL_SIZE) for p in study.PROTOCOLS}
+        for name in ("var", "gini"):
+            rep = study.flip_study(z, valuefn.by_name(name), part, samplers, (50, 100), range(3))
+            rep.to_csv(tmp_path / f"lib_{name}.csv")
+            got = (tmp_path / "cli" / f"flip_{name}.csv").read_bytes()
+            assert got == (tmp_path / f"lib_{name}.csv").read_bytes()
+
+    def test_config_without_panel_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("mode = flip\nf = var\nsizes = 50\nseeds = 0\n")
+        out = tmp_path / "out"
+        assert run(["study", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "aspanel synth" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unknown_f_is_caught_before_any_output(self, tmp_path, capsys, study_config):
+        cfg = study_config("mode = flip\nf = var bogus\nsizes = 50\nseeds = 0\n", 300)
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "unknown value-function kind 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "flip_var.csv").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_unknown_mode_without_f_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"
         cfg.write_text("mode = bogus\nf =\n")
@@ -593,23 +637,20 @@ class TestStudy:
 
     @pytest.mark.parametrize("mode", ["flip", "rescale"])
     @pytest.mark.parametrize("sizes", ["-5", "0"])
-    def test_subset_size_below_one_is_data_error(self, tmp_path, capsys, mode, sizes):
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text(f"mode = {mode}\nn_agents = 300\nlaw = pareto_reach\nf = var\n"
-                       f"sizes = {sizes}\nseeds = 0\n")
+    def test_subset_size_below_one_is_data_error(self, tmp_path, capsys, mode, sizes,
+                                                 study_config):
+        cfg = study_config(f"mode = {mode}\nf = var\nsizes = {sizes}\nseeds = 0\n", 300)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: subset size {sizes} is below 1\n"
 
     @pytest.mark.parametrize("key,value", [
-        ("sizes", "abc"), ("seeds", "0 x"), ("n_agents", "abc"), ("n_steps", "2.5"),
-        ("pareto_alpha", "x"), ("panel_seed", ""), ("cut_fractions", "0.1 x 1.0"),
+        ("sizes", "abc"), ("seeds", "0 x"), ("cut_fractions", "0.1 x 1.0"),
         ("pool_fraction", "abc"), ("pool_size", "1e3"), ("K_list", "5 ten"),
     ])
-    def test_non_numeric_config_is_data_error(self, tmp_path, capsys, key, value):
-        cfg = tmp_path / "study.cfg"
+    def test_non_numeric_config_is_data_error(self, tmp_path, capsys, key, value, study_config):
         mode = "kconv" if key == "K_list" else "flip"
-        cfg.write_text(f"mode = {mode}\nn_agents = 300\nlaw = pareto_reach\nf = var\n"
-                       f"sizes = 50\nseeds = 0\n{key} = {value}\n")
+        cfg = study_config(f"mode = {mode}\nf = var\nsizes = 50\nseeds = 0\n{key} = {value}\n",
+                           300)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert f"config {key} = {value!r}" in capsys.readouterr().err
 

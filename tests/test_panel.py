@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -678,6 +679,23 @@ class TestPanelContainer:
         pn = panel.FeaturePanel(np.ones((2, 1, 3)), ["a", "b"])
         with pytest.raises(ValueError):
             pn.features[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("field,value", [("agent_ids", ["a", "a"]),
+                                             ("features", -np.ones((2, 1, 3)))])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        # a reassigned field would skip the checks, and save would write a
+        # file that load rejects
+        pn = panel.FeaturePanel(np.ones((2, 1, 3)), ["a", "b"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pn, field, value)
+        assert pn.agent_ids == ["a", "b"] and (pn.features == 1.0).all()
+
+    @pytest.mark.parametrize("D,names", [(3, ("reach", "activity", "resonance")),
+                                         (2, ("dim0", "dim1")), (4, ("dim0", "dim1", "dim2", "dim3"))])
+    def test_dim_names_follow_the_dims(self, tmp_path, D, names):
+        pn = panel.FeaturePanel(np.ones((2, 1, D)), ["a", "b"])
+        pn.save(tmp_path / "p.asp")
+        assert pn.dim_names == panel.FeaturePanel.load(tmp_path / "p.asp").dim_names == names
 
     def test_collapse(self):
         feats = np.zeros((1, 2, 3))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ class TestSampling:
         z[0, 1:] = 709.5
         with pytest.raises(AspanelError, match="engagement counts .* overflow"):
             study.SubsetSampler(z, "bias_visibility", 0.05, 10)
+
+    @pytest.mark.parametrize("top", [[1e200], [1.7e308] * 20], ids=["spread", "mean"])
+    def test_visibility_reach_overflow_is_named(self, top):
+        # std squares each deviation, so one finite reach of 1e200 overflows
+        # it, and twenty of 1.7e308 overflow the mean; the reach z-score would
+        # be zero, ranking the pool by engagement alone
+        z = np.ones((20, 3))
+        z[:len(top), 0] = top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AspanelError, match="the reach mean or spread overflows"):
+                study.SubsetSampler(z, "bias_visibility", 0.05, 10)
 
     @pytest.mark.parametrize("protocol", ["bias_visibility", "bias_topic_x_follow", "bias_topic_top"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -168,7 +182,7 @@ class TestFlipStudy:
         assert lines[0].startswith("protocol,n,n_seeds,n_degenerate,share_top")
         assert len(lines) == 4  # header + full row + two protocol rows
 
-    def test_cli_flip_ranks_each_pool_once(self, tmp_path, monkeypatch):
+    def test_cli_flip_ranks_each_pool_once(self, tmp_path, monkeypatch, study_config):
         built = []
 
         class CountingSampler(study.SubsetSampler):
@@ -177,9 +191,8 @@ class TestFlipStudy:
                 super().__init__(*args)
 
         monkeypatch.setattr(study, "SubsetSampler", CountingSampler)
-        cfg = tmp_path / "flip.cfg"
-        cfg.write_text(f"mode = flip\nn_agents = 400\nf = var gini heat\nsizes = 20 50\n"
-                       f"seeds = 0 1\nprotocols = {' '.join(study.PROTOCOLS)}\n")
+        cfg = study_config(f"mode = flip\nf = var gini heat\nsizes = 20 50\nseeds = 0 1\n"
+                           f"protocols = {' '.join(study.PROTOCOLS)}\n", 400)
         assert cli.main(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         assert sorted(built) == sorted(study.PROTOCOLS)
 
