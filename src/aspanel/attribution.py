@@ -316,7 +316,11 @@ def tier_shares(
         raise AspanelError("tier shares need a normalized result")
     labels = partition.labels
     if subset_indices is not None:
-        labels = labels[np.asarray(subset_indices, dtype=np.int64)]
+        idx = np.asarray(subset_indices, dtype=np.int64)
+        if idx.size and not (idx.min() >= 0 and idx.max() < len(labels)):
+            raise AspanelError(f"subset_indices must lie in [0, {len(labels)}), the "
+                               "partitioned agents")
+        labels = labels[idx]
     return _tier_sums(result.normalized, labels, partition.n_groups)
 
 

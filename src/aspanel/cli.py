@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -153,6 +154,18 @@ _CLI_KINDS = {name: "weights" in kind.required
               for name, kind in valuefn.KINDS.items() if set(kind.required) <= {"weights"}}
 
 
+def _phi_fields(t: int, dv):
+    """The ``tails`` of :func:`panel.write_csv_rows` for step ``t`` of the
+    attribute CSV: ``,t,repr(phi),repr(phi/dv)``, or a blank ``phi_norm``
+    when ``dv`` is None (a degenerate step)."""
+    def tails(phi: np.ndarray):
+        fields = [itertools.repeat(f",{t},"), map(repr, phi.tolist()), itertools.repeat(",")]
+        if dv is not None:
+            fields.append(map(repr, (phi / dv).tolist()))
+        return map("".join, zip(*fields, itertools.repeat("\r\n")))
+    return tails
+
+
 def cmd_attribute(args) -> int:
     run = _Run(args)
     pn = panel.FeaturePanel.load(args.panel)
@@ -176,9 +189,8 @@ def cmd_attribute(args) -> int:
         csv.writer(fh).writerow(["agent_id", "step", "phi", "phi_norm"])
         for t in range(pn.n_steps):
             dv = float(res.delta_v[t])
-            phi = res.phi[:, t]
-            norm = "" if attribution.degenerate(dv, res.value_scale[t]) else phi / dv
-            panel.write_csv_rows(fh, ids, [str(t), phi, norm])
+            blank = attribution.degenerate(dv, res.value_scale[t])
+            panel.write_csv_rows(fh, ids, res.phi[:, t], _phi_fields(t, None if blank else dv))
     residuals = np.abs(res.step_totals() - res.delta_v)
     summary = {
         "delta_v": res.delta_v.tolist(),
@@ -214,6 +226,8 @@ def cmd_study(args) -> int:
         K_list = _cfg_number(cfg, "K_list", "5 10 20 30 50 100 300", many=True)
     else:
         sizes = _cfg_number(cfg, "sizes", "100", many=True)
+        for n in sizes:
+            study.check_subset_size(n, pn.n_agents)
         seeds = _cfg_number(cfg, "seeds", " ".join(map(str, range(10))), many=True)
         pool_fraction = _cfg_number(cfg, "pool_fraction", study.DEFAULT_POOL_FRACTION, float)
         pool_size = _cfg_number(cfg, "pool_size", study.DEFAULT_POOL_SIZE)

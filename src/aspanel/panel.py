@@ -226,7 +226,7 @@ class FeaturePanel:
             for lo in range(0, self.n_agents, per_block):
                 heads = [q + s for q in ids[lo:lo + per_block] for s in steps]
                 rows = self.features[lo:lo + per_block].reshape(len(heads), -1)
-                write_csv_rows(fh, heads, list(rows.T))
+                write_csv_rows(fh, heads, rows, _float_fields)
 
 
 # ---- bulk CSV text --------------------------------------------------------
@@ -242,30 +242,38 @@ def csv_quoted(ids: Sequence[str]) -> list[str]:
     return [line[:-3] for line in lines]  # drop the "," + "\r\n" of the blank second field
 
 
-def write_csv_rows(fh, heads: Sequence[str], columns) -> None:
-    """Write one row per head, the same bytes ``csv.writer`` writes.
+def write_csv_rows(fh, heads: Sequence[str], values: np.ndarray,
+                   tails: Callable[[np.ndarray], Iterable[str]]) -> None:
+    """Write row i as ``heads[i]`` then the text ``tails`` makes of ``values[i]``,
+    the same bytes ``csv.writer`` writes.
 
     Each head is the row's leading fields, already CSV text (see
-    :func:`csv_quoted`).  Each column is either a float64 array with one
-    value per row, written with ``repr``, or a string written on every row.
-    Lines end in ``\r\n``; rows go out ``CSV_BLOCK_ROWS`` at a time.
+    :func:`csv_quoted`).  ``values`` holds one float64, or one row of them,
+    per head.  Rows go out ``CSV_BLOCK_ROWS`` at a time, and each block is
+    deduped once on the bit patterns of its values: ``tails`` gets the
+    distinct ones in an array and returns, for each, the rest of its row
+    through the ``\r\n`` that ends it.  Panels built from event counts
+    repeat few values across many agents, and identical rows get identical
+    attributions, so each distinct value's text is formatted once.  Comparing
+    bits keeps -0.0 apart from 0.0, whose reprs differ.
     """
     for lo in range(0, len(heads), CSV_BLOCK_ROWS):
-        hi = lo + CSV_BLOCK_ROWS
-        fields = [itertools.repeat(c) if isinstance(c, str) else _reprs(c[lo:hi]) for c in columns]
-        fh.write("\r\n".join(map(",".join, zip(heads[lo:hi], *fields))) + "\r\n")
+        block = values[lo:lo + CSV_BLOCK_ROWS]
+        if block.ndim == 1:
+            keys = block.view(np.int64)
+        else:  # each row's bytes as one key
+            keys = np.ascontiguousarray(block).view((np.void, block[0].nbytes)).ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        text = np.fromiter(tails(distinct.view(np.float64).reshape(-1, *block.shape[1:])),
+                           dtype=object, count=len(distinct))
+        rows = zip(heads[lo:lo + CSV_BLOCK_ROWS], text[inverse].tolist())
+        fh.write("".join(itertools.chain.from_iterable(rows)))
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each float64, computed once per distinct bit pattern.
-
-    Panels built from event counts repeat few values across many agents, and
-    identical rows get identical attributions.  Comparing bits keeps -0.0
-    apart from 0.0, whose reprs differ.
-    """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+def _float_fields(rows: np.ndarray) -> Iterable[str]:
+    """``,repr(v)`` for each value of each row, then ``\r\n``."""
+    fields = [f for col in rows.T.tolist() for f in (itertools.repeat(","), map(repr, col))]
+    return map("".join, zip(*fields, itertools.repeat("\r\n")))
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

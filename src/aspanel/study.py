@@ -45,6 +45,15 @@ def _zscore(x: np.ndarray, name: str) -> np.ndarray:
     return (x - mean) / sd if sd > 0 else np.zeros_like(x)
 
 
+def check_subset_size(n: int, n_agents: int) -> None:
+    """Raise AspanelError unless a subset of ``n`` agents can be drawn from
+    ``n_agents``."""
+    if n < 1:
+        raise AspanelError(f"subset size {n} is below 1")
+    if n > n_agents:
+        raise AspanelError(f"subset size {n} exceeds population {n_agents}")
+
+
 class SubsetSampler:
     """One sampling protocol on one panel.
 
@@ -90,10 +99,7 @@ class SubsetSampler:
         """The top agents by score form the pool; draw n of them uniformly.
         When n reaches the pool size, take the whole pool plus a uniform
         complement, which collapses to the full panel at n = N."""
-        if n < 1:
-            raise AspanelError(f"subset size {n} is below 1")
-        if n > self.n_agents:
-            raise AspanelError(f"subset size {n} exceeds population {self.n_agents}")
+        check_subset_size(n, self.n_agents)
         rng = np.random.default_rng(seed)
         if self.pool is None:
             idx = rng.choice(self.n_agents, size=n, replace=False)

@@ -328,8 +328,10 @@ def _gini_value(p, g) -> float:
     g = g[:, 0]
     n = len(g)
     ranks, _ = gini_ranks(g)
-    # sorted-rank identity for (1/2n^2) sum_ij |g_i - g_j|
-    return float(np.dot(2.0 * ranks - n - 1.0, g) / n**2)
+    # sorted-rank identity for (1/2n^2) sum_ij |g_i - g_j|.  The integer rank
+    # weights sum to exactly zero, so the sum may be taken on g - median(g):
+    # its terms then share one sign and nothing cancels when g is near constant
+    return float(np.dot(2.0 * ranks - n - 1.0, g - np.median(g)) / n**2)
 
 
 def _gini_gradient(p, g):

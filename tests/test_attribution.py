@@ -671,6 +671,16 @@ class TestGroupShares:
             with pytest.raises(AspanelError, match="9 tier labels|11 tier labels"):
                 call()
 
+    @pytest.mark.parametrize("bad", [-1, 40], ids=["negative", "past_n"])
+    def test_subset_indices_out_of_range_rejected(self, abs_gaussian, bad):
+        # -1 would wrap to the last agent, 40 raise numpy's bare IndexError
+        z = abs_gaussian(40, seed=23)
+        part = panel.make_tier_partition(z[:, 0])
+        res = attribution.normalize(attribution.attribute(valuefn.variance(), z[:3]))
+        for sub in ([0, 1, bad], [bad, 2, 1]):
+            with pytest.raises(AspanelError, match=r"subset_indices must lie in \[0, 40\)"):
+                attribution.tier_shares(res, part, subset_indices=sub)
+
     def test_group_out_of_range_rejected(self, abs_gaussian):
         z = abs_gaussian(40, seed=23)
         part = panel.make_tier_partition(z[:, 0])

@@ -356,6 +356,19 @@ def awkward_panel(path, n, n_steps=3):
     return panel.FeaturePanel.load(path)
 
 
+def repeated_panel(path, n):
+    """n agents (a multiple of 4) whose rows cycle through four with row sums
+    0, 1, 2, 1, which average to exactly 1.  At a zero baseline var gives the
+    zero rows -0.0 and the rows at the mean 0.0; step 1 is all zeros, so its
+    change is degenerate."""
+    cycle = np.array([[0.0, 0.0, 0.0], [0.5, 0.25, 0.25], [1.0, 0.5, 0.5], [0.25, 0.5, 0.25]])
+    feats = np.zeros((n, 2, 3))
+    feats[:, 0] = np.tile(cycle, (n // 4, 1))
+    ids = [f"r{i}" for i in range(n)]
+    panel.FeaturePanel(feats, ids).save(path)
+    return panel.FeaturePanel.load(path)
+
+
 class TestCsvBytes:
     @pytest.mark.parametrize("f,baseline,method", [
         ("lin", "zero", "auto"), ("var", "zero", "auto"), ("gini", "population_mean", "auto"),
@@ -395,16 +408,28 @@ class TestCsvBytes:
         reference_panel_csv(tmp_path / "ref.csv", pn)
         assert (tmp_path / "panel.asp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_repeated_values_and_signed_zeros(self):
-        # values repeat within a column, and -0.0 and 0.0 have different reprs
+    def test_repeated_values_and_signed_zeros(self, monkeypatch):
+        # values repeat within a block and across blocks of 7 rows, and -0.0
+        # and 0.0 have different reprs
+        monkeypatch.setattr(panel, "CSV_BLOCK_ROWS", 7)
         col = np.array([0.0, -0.0, 1.5, 0.1 + 0.2, 1.5, -0.0, np.nan, -np.inf, 0.0, 5e-324])
         ids = AWKWARD_IDS * 2
-        got, want = io.StringIO(newline=""), io.StringIO(newline="")
-        panel.write_csv_rows(got, panel.csv_quoted(ids), ["3", col, col[::-1].copy()])
-        w = csv.writer(want)
-        for aid, a, b in zip(ids, col.tolist(), col[::-1].tolist()):
-            w.writerow([aid, 3, repr(a), repr(b)])
-        assert got.getvalue() == want.getvalue()
+        rows = np.column_stack([col, col[::-1]])
+
+        def check(values, tails, want_rows):
+            got, want = io.StringIO(newline=""), io.StringIO(newline="")
+            panel.write_csv_rows(got, panel.csv_quoted(ids), values, tails)
+            csv.writer(want).writerows(want_rows)
+            assert got.getvalue() == want.getvalue()
+
+        # the rows of `ingest --csv`, then an attribute step by a negative
+        # delta_v and a degenerate one, whose phi_norm is blank
+        check(rows, panel._float_fields,
+              [[aid, repr(a), repr(b)] for aid, (a, b) in zip(ids, rows.tolist())])
+        for dv in (-0.7, None):
+            check(col, cli._phi_fields(3, dv),
+                  [[aid, 3, repr(p), "" if dv is None else repr(p / dv)]
+                   for aid, p in zip(ids, col.tolist())])
 
     @pytest.mark.parametrize("small_blocks", [True, False])
     def test_writers_across_write_blocks(self, tmp_path, monkeypatch, small_blocks):
@@ -412,16 +437,23 @@ class TestCsvBytes:
         if small_blocks:
             monkeypatch.setattr(panel, "CSV_BLOCK_ROWS", 7)
         n = 20 if small_blocks else panel.CSV_BLOCK_ROWS + 5
-        pn = awkward_panel(tmp_path / "p.asp", n, n_steps=2)
-        pn.to_csv(tmp_path / "panel.csv")
-        reference_panel_csv(tmp_path / "ref_panel.csv", pn)
-        assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "ref_panel.csv").read_bytes()
-        out = tmp_path / "attr.csv"
-        assert run(["attribute", str(tmp_path / "p.asp"), "--f", "lin",
-                    "--out", str(out), "--out-dir", str(tmp_path)]) == 0
-        res = attribution.attribute_temporal(valuefn.by_name("lin"), pn)
-        reference_attribute_csv(tmp_path / "ref.csv", pn, res, valuefn.by_name("lin"))
-        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        awkward_panel(tmp_path / "p.asp", n, n_steps=2)
+        repeated_panel(tmp_path / "rep.asp", 4 * (n // 4 + 1))
+        for name, kind in (("p.asp", "lin"), ("rep.asp", "var")):
+            pn = panel.FeaturePanel.load(tmp_path / name)
+            pn.to_csv(tmp_path / "panel.csv")
+            reference_panel_csv(tmp_path / "ref_panel.csv", pn)
+            assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "ref_panel.csv").read_bytes()
+            out = tmp_path / "attr.csv"
+            assert run(["attribute", str(tmp_path / name), "--f", kind,
+                        "--out", str(out), "--out-dir", str(tmp_path)]) == 0
+            res = attribution.attribute_temporal(valuefn.by_name(kind), pn)
+            reference_attribute_csv(tmp_path / "ref.csv", pn, res, valuefn.by_name(kind))
+            assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # the repeated panel's step 0 holds both zeros, and its step 1 is degenerate
+        text = out.read_bytes()
+        assert b'\r\nr0,0,-0.0,' in text and b'\r\nr1,0,0.0,' in text
+        assert text.endswith(b",1,-0.0,\r\n") or text.endswith(b",1,0.0,\r\n")
 
 
 def reference_flip_csv(path, rep):
@@ -642,6 +674,15 @@ class TestStudy:
         cfg = study_config(f"mode = {mode}\nf = var\nsizes = {sizes}\nseeds = 0\n", 300)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: subset size {sizes} is below 1\n"
+
+    @pytest.mark.parametrize("mode", ["flip", "rescale"])
+    def test_subset_size_above_n_is_caught_before_any_output(self, tmp_path, capsys, mode,
+                                                             study_config):
+        cfg = study_config(f"mode = {mode}\nf = var\nsizes = 50 5000\nseeds = 0\n", 300)
+        out = tmp_path / "out"
+        assert run(["study", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: subset size 5000 exceeds population 300\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
         ("sizes", "abc"), ("seeds", "0 x"), ("cut_fractions", "0.1 x 1.0"),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ class TestEvaluate:
         n = len(g)
         direct = np.abs(g[:, None] - g[None, :]).sum() / (2 * n**2)
         assert valuefn.gini().evaluate(g[:, None]) == pytest.approx(direct, abs=1e-14)
+
+    def test_gini_near_constant_matches_exact_rationals(self, rng):
+        # g = 1 +- 1e-5, a value of about 1e-6: summed on g itself, the rank
+        # weights' terms are about n in size and cancel down to that value
+        f = valuefn.gini()
+        panels = [np.array([0.999995, 0.99999, 0.99999, 1.0, 1.0])]
+        panels += [1.0 + rng.uniform(-1e-5, 1e-5, n) for n in (3, 5, 8, 13, 21, 34) * 4]
+        panels += [1.0 + rng.integers(-3, 4, n) * 2.5e-6 for n in (4, 9, 30)]  # ties
+        for g in panels:
+            q = [Fraction(x) for x in g.tolist()]
+            exact = sum(abs(a - b) for a in q for b in q) / (2 * len(q) ** 2)
+            got = f.evaluate(g[:, None])
+            assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact, (g.tolist(), got)
 
     def test_var_population(self, rng):
         g = rng.random(10)
