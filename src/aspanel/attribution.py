@@ -134,7 +134,8 @@ def attribute(
     and ``permuted_path`` are the linear and the permuted midpoint paths.
     """
     z = _as_features(features)
-    return _attribute(f, z, _resolve_baseline(baseline, z), method, K, seed)
+    z0 = _resolve_baseline(baseline, z)
+    return _attribute(f, f._check(z), f._check(z0), z0, method, K, seed)
 
 
 def attribute_analytic(f: ValueFunction, features, baseline=None) -> AttributionResult:
@@ -164,9 +165,11 @@ def attribute_path_integral(
     return attribute(f, features, baseline, _PATHS[path], K, seed)
 
 
-def _attribute(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: int,
-               seed: Optional[int]) -> AttributionResult:
-    """attribute on an array _as_features accepted and a baseline _resolve_baseline returned."""
+def _attribute(f: ValueFunction, x: np.ndarray, x0: np.ndarray, z0: np.ndarray, method: str,
+               K: int, seed: Optional[int]) -> AttributionResult:
+    """attribute from a baseline z0 that _resolve_baseline returned to an array
+    z that _as_features accepted, on what f reads of them: x = f._check(z)
+    and x0 = f._check(z0)."""
     if method not in ("auto", "analytic", "midpoint", "permuted_path"):
         raise AspanelError(f"unknown method {method!r}")
     if method == "analytic":
@@ -178,9 +181,9 @@ def _attribute(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: 
                 "use attribute or attribute_path_integral"
             )
     elif method != "auto" or not f.covers(z0):
-        return _midpoint(f, z, z0, K, method == "permuted_path", seed)
+        return _midpoint(f, x, x0, z0, K, method == "permuted_path", seed)
     # analytic from zero, or auto where the closed form covers z0
-    phi, values, meta = f.closed_form(z, z0)
+    phi, values, meta = f.closed_form(x, x0)
     if z0.ndim == 2:
         named = {"name": "closed_form", "baseline": "per_agent", "f": f.kind}
     elif z0.any():
@@ -190,43 +193,45 @@ def _attribute(f: ValueFunction, z: np.ndarray, z0: np.ndarray, method: str, K: 
     return _result(phi, values, z0, named, **meta)
 
 
-def _midpoint(f: ValueFunction, z: np.ndarray, z0: np.ndarray, K: int, permuted: bool,
-              seed: Optional[int]) -> AttributionResult:
+def _midpoint(f: ValueFunction, x: np.ndarray, x0: np.ndarray, z0: np.ndarray, K: int,
+              permuted: bool, seed: Optional[int]) -> AttributionResult:
     """K-point midpoint quadrature of the gradient from z0 to z: all agents
     fade in together, or with ``permuted`` one at a time in a seeded order.
-    It runs on what the kind reads, z or its row sums, and sums the gradient
-    in the gradient's own shape."""
+    It runs on what the kind reads, x and x0 as in :func:`_attribute`, and
+    sums the gradient in the gradient's own shape."""
     if K < 1:
         raise AspanelError("K must be a positive integer")
-    z0_full = np.broadcast_to(z0, z.shape)
-    x, x0 = f._check(z), f._check(z0_full)
-    delta = x - x0
+    x0_full = np.broadcast_to(x0, x.shape)
+    delta = x - x0_full
 
     if not permuted:
-        f.check_path(z, z0)
-        acc = sum(f._gradient(x0 + (k - 0.5) / K * delta) for k in range(1, K + 1))
+        f.check_path(x, x0)
+        acc = sum(f._gradient(x0_full + (k - 0.5) / K * delta) for k in range(1, K + 1))
         phi = _row_sums(delta * acc / K)
         method = {"name": "midpoint", "K": K, "f": f.kind}
     else:
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(x))
-        state = np.array(x0)
+        state = np.array(x0_full)
         phi = np.zeros(len(x))
         for i in order:
-            # each leg is a straight path of its own: agent i alone fades in;
-            # the n x 1 g of a row_sums kind is itself a feature array of f
+            # each leg is a straight path of its own: agent i alone fades in
             end = state.copy()
             end[i] = x[i]
             f.check_path(end, state)
             acc_i = np.zeros(x.shape[1])
             for k in range(1, K + 1):
-                state[i] = x0[i] + (k - 0.5) / K * delta[i]
+                state[i] = x0_full[i] + (k - 0.5) / K * delta[i]
                 acc_i += np.broadcast_to(f._gradient(state), x.shape)[i]
             state[i] = x[i]
             phi[i] = float(delta[i] @ (acc_i / K))
         method = {"name": "permuted_path", "K": K, "seed": seed, "f": f.kind}
 
-    return _result(phi, (f.evaluate(z), f.evaluate(z0_full)), z0, method)
+    # f is evaluated on x, as the n x 1 g of a row_sums kind is a feature
+    # array of f whose row sums are g; a row sum that overflowed left phi not
+    # finite, which is named first
+    _finite(phi, f"{f.kind} attribution ({method['name']})")
+    return _result(phi, (f.evaluate(x), f.evaluate(x0_full)), z0, method)
 
 
 # ---- normalization and aggregation -----------------------------------------
@@ -265,7 +270,7 @@ class TemporalAttributionResult:
 
     def group_totals(self, partition: TierPartition) -> np.ndarray:
         """(n_groups, n_steps) attribution mass per tier per step."""
-        return _tier_sums(self.phi, partition.labels, partition.n_groups)
+        return _tier_sums(self.phi, partition)
 
 
 def attribute_temporal(
@@ -277,29 +282,35 @@ def attribute_temporal(
 ) -> TemporalAttributionResult:
     """Independent per-step attribution over a feature panel.
 
-    The baseline is resolved once for all steps.  The panel already holds a
-    finite float64 tensor, so its steps go to the engine without another
-    finiteness scan.
+    The baseline is resolved once for all steps, and what f reads of it
+    once.  Each step is read once, into what f reads of it: a row_sums
+    kind's g comes out as one contiguous column, and g for one step at a
+    time holds a third of the memory of g for all steps of a 3-step panel.
+    The panel already holds a finite float64 tensor, so its steps go to the
+    engine without another finiteness scan.
     """
     n, T, D = panel.features.shape
     # population_mean is the panel-wide mean; first_step is the step-0 slice
     base = _resolve_baseline(baseline, panel.features.reshape(-1, D), panel.step_slice(0), n)
+    x0 = f._check(base)
     phi = np.empty((n, T))
     dv, scale = np.empty(T), np.empty(T)
     last_method = {}
     for t in range(T):
-        res = _attribute(f, panel.step_slice(t), base, method, K, None)
+        res = _attribute(f, f._check(panel.step_slice(t)), x0, base, method, K, None)
         phi[:, t] = res.phi
         dv[t], scale[t] = res.delta_v, res.value_scale
         last_method = res.method
     return TemporalAttributionResult(phi, dv, base, last_method, scale)
 
 
-def _tier_sums(values: np.ndarray, labels: np.ndarray, n_groups: int) -> np.ndarray:
-    """Sum of the rows of ``values`` in each group, in group order."""
-    if len(labels) != len(values):
-        raise AspanelError(f"{len(labels)} tier labels for {len(values)} attributed rows")
-    return np.array([values[labels == k].sum(axis=0) for k in range(n_groups)])
+def _tier_sums(values: np.ndarray, partition: TierPartition) -> np.ndarray:
+    """Sum of the rows of ``values`` in each group, in group order.  A group's
+    ascending indices gather the rows that ``values[labels == k]`` selects,
+    in the same order, so each sum is that mask's sum bit for bit."""
+    if len(partition.labels) != len(values):
+        raise AspanelError(f"{len(partition.labels)} tier labels for {len(values)} attributed rows")
+    return np.array([values.take(idx, axis=0).sum(axis=0) for idx in partition.groups])
 
 
 def tier_shares(
@@ -314,14 +325,12 @@ def tier_shares(
     """
     if result.normalized is None:
         raise AspanelError("tier shares need a normalized result")
-    labels = partition.labels
     if subset_indices is not None:
-        idx = np.asarray(subset_indices, dtype=np.int64)
-        if idx.size and not (idx.min() >= 0 and idx.max() < len(labels)):
-            raise AspanelError(f"subset_indices must lie in [0, {len(labels)}), the "
-                               "partitioned agents")
-        labels = labels[idx]
-    return _tier_sums(result.normalized, labels, partition.n_groups)
+        idx, n = np.asarray(subset_indices, dtype=np.int64), len(partition.labels)
+        if idx.size and not (idx.min() >= 0 and idx.max() < n):
+            raise AspanelError(f"subset_indices must lie in [0, {n}), the partitioned agents")
+        partition = TierPartition(partition.labels[idx], partition.group_names)
+    return _tier_sums(result.normalized, partition)
 
 
 def group_share(

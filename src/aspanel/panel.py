@@ -18,7 +18,7 @@ import os
 import re
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -105,6 +105,11 @@ def _strictly_increasing(ids: Sequence[str]) -> bool:
         raise AspanelError("agent ids must be strings") from None
 
 
+def _check_unique(ids: Sequence[str]) -> None:
+    if not _strictly_increasing(ids) and len(set(ids)) != len(ids):
+        raise AspanelError("agent_ids must be unique")
+
+
 @dataclass(frozen=True, eq=False)
 class FeaturePanel:
     """Immutable N x T x D feature tensor with agent identities.
@@ -121,15 +126,18 @@ class FeaturePanel:
             raise AspanelError("features must be a 3-d (agents, steps, dims) array")
         if feats.shape[0] == 0:
             raise EmptyPanelError("panel has no agents")
-        if not np.all(np.isfinite(feats)):
+        # two reductions and no tensor-sized temporary: a NaN carries
+        # through min and max, so non-finite is found before negative, and
+        # -0.0 is not below zero
+        lo, hi = feats.min(initial=0.0), feats.max(initial=0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise AspanelError("panel contains non-finite values")
-        if np.any(feats < 0):
+        if lo < 0:
             raise AspanelError("panel contains negative values")
         ids = self.agent_ids
         if len(ids) != feats.shape[0]:
             raise AspanelError("agent_ids length must match the agent axis")
-        if not _strictly_increasing(ids) and len(set(ids)) != len(ids):
-            raise AspanelError("agent_ids must be unique")
+        _check_unique(ids)
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
 
@@ -175,13 +183,15 @@ class FeaturePanel:
 
         Raises AspanelError, before writing anything, for agent ids that
         ``load`` could not read back: ids that are not strings, contain a
-        newline or are not encodable as UTF-8."""
+        newline, repeat or are not encodable as UTF-8.  The id list can be
+        changed in place after the panel checked it, so it is checked again."""
         try:
             id_text = "\n".join(self.agent_ids)
         except TypeError:
             raise AspanelError("agent ids must be strings") from None
         if id_text.count("\n") != self.n_agents - 1:  # a newline inside an id
             raise AspanelError("agent ids must not contain a newline")
+        _check_unique(self.agent_ids)
         try:
             id_block = id_text.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -586,16 +596,24 @@ def ingest_jsonl(
 class TierPartition:
     labels: np.ndarray  # per-agent group index, 0 = highest tier
     group_names: tuple[str, ...]
+    # each group's agent indices, ascending, taken once from the labels
+    groups: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        groups = tuple(np.flatnonzero(self.labels == k) for k in range(self.n_groups))
+        for idx in groups:
+            idx.setflags(write=False)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n_groups(self) -> int:
         return len(self.group_names)
 
     def group_sizes(self) -> list[int]:
-        return [int(np.count_nonzero(self.labels == k)) for k in range(self.n_groups)]
+        return [len(idx) for idx in self.groups]
 
     def group_indices(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == k)
+        return self.groups[k]
 
 
 def make_tier_partition(

@@ -45,18 +45,34 @@ def _as_features(z) -> np.ndarray:
     return z
 
 
-def _row_sums(z: np.ndarray) -> np.ndarray:
+# rows _row_sums adds at a time, so that a block stays in cache while its
+# columns are added one by one
+ROW_SUM_BLOCK = 1 << 14
+
+
+def _row_sums(z: np.ndarray, divisors: Optional[np.ndarray] = None) -> np.ndarray:
     """z.sum(axis=-1) bit for bit, one column at a time.  Below 8 terms numpy
-    adds a row's entries in order onto 0.0, so 0.0 + z[..., 0] starts the sum
-    (a row of -0.0 sums to +0.0); numpy's short-axis reduction costs more than
-    the sums themselves."""
+    adds a row's entries in order onto 0.0, so the sum starts from 0.0 (a row
+    of -0.0 sums to +0.0); numpy's short-axis reduction costs more than the
+    sums themselves.
+
+    With ``divisors``, a length-D row, the row sums of z / divisors, a zero
+    divisor's column taken as zeros, bit for bit as that quotient array
+    sums; below 8 columns no such array is built.  A sum begun on 0.0 is
+    never -0.0, so a column of +0.0 would leave it as it is: it is skipped."""
     D = z.shape[-1]
     if D >= 8:
+        if divisors is not None:
+            z = np.divide(z, divisors, out=np.zeros_like(z), where=divisors != 0)
         return z.sum(axis=-1)
-    out = z[..., 0] + 0.0
-    for d in range(1, D):
-        out += z[..., d]
-    return out
+    columns = range(D) if divisors is None else np.flatnonzero(divisors)
+    rows = z.reshape(-1, D)
+    out = np.zeros(len(rows))
+    for lo in range(0, len(rows), ROW_SUM_BLOCK):
+        block, acc = rows[lo:lo + ROW_SUM_BLOCK], out[lo:lo + ROW_SUM_BLOCK]
+        for d in columns:
+            acc += block[:, d] if divisors is None else block[:, d] / divisors[d]
+    return out.reshape(z.shape[:-1])
 
 
 # ---- ranks and rank correlation --------------------------------------------
@@ -174,7 +190,7 @@ class Kind:
     closed_form: Optional[Callable] = None
     covers: str = "any"  # baselines closed_form integrates: "any" | "shared_row"
     row_sums: bool = False  # f reads z only through g, its row sums
-    # (params, z, z0): raises AspanelError where the straight path from the
+    # (params, x, x0): raises AspanelError where the straight path from the
     # resolved baseline z0 to z leaves the domain of f
     check_path: Callable = lambda p, z, z0: None
     # coalition values under restrict semantics, which read no baseline, all
@@ -195,7 +211,9 @@ class Kind:
 
 
 def _lin_phi(p, g, g0):
-    return ((g - g0) / len(g))[:, 0], (float(g.mean()), float(g0.mean())), {}
+    phi = g - g0
+    phi /= len(g)
+    return phi[:, 0], (float(g.mean()), float(g0.mean())), {}
 
 
 def _heat_value(p, z) -> float:
@@ -298,17 +316,16 @@ def _heat_phi(p, z, z0):
     _heat_check_path([1.0 + float(np.prod(m1))])  # q(tau) = 1 + tau^D prod(m1) is monotone
     val = float(np.log1p(np.prod(m1)))
     # From zero, phi_i = (v / D) sum_d z_id / sum_j z_jd; a zero column sum
-    # means v = 0, so that block is skipped rather than divided by zero.  With
-    # exactly one zero sum s_k, the path integral keeps the k-th gradient term:
-    # phi_i = z_ik prod_{d != k}(s_d / n) / (n D); with two or more, phi = 0.
+    # means v = 0, so that column is left out rather than divided by zero.
+    # With exactly one zero sum s_k, the path integral keeps the k-th gradient
+    # term: phi_i = z_ik prod_{d != k}(s_d / n) / (n D); with two or more, phi = 0.
     zero = np.flatnonzero(sums == 0)
     if len(zero) == 1:
         k = zero[0]
         return z[:, k] * (np.prod(np.delete(sums, k) / n) / (n * D)), (val, 0.0), {}
-    shares = np.zeros_like(z)
-    nonzero = sums != 0
-    shares[:, nonzero] = z[:, nonzero] / sums[nonzero]
-    return _row_sums(shares) * (val / D), (val, 0.0), {}
+    phi = _row_sums(z, sums)
+    phi *= val / D
+    return phi, (val, 0.0), {}
 
 
 def _var_value(p, g) -> float:
@@ -320,8 +337,12 @@ def _var_phi(p, g, g0):
     # (g0_i - g0bar)) / n; the order of operations keeps g (g - gbar) / n
     # bit for bit at the zero baseline.
     gbar, g0bar = g.mean(), g0.mean()
-    phi = (g - g0) * ((g - gbar) - (g0bar - g0)) / len(g)
-    return phi[:, 0], (float(np.mean((g - gbar) ** 2)), float(((g0 - g0bar) ** 2).mean())), {}
+    phi = g - gbar
+    value = float(np.mean(phi ** 2))
+    phi -= g0bar - g0
+    phi *= g - g0
+    phi /= len(g)
+    return phi[:, 0], (value, float(((g0 - g0bar) ** 2).mean())), {}
 
 
 def _gini_value(p, g) -> float:
@@ -347,7 +368,12 @@ def _gini_phi(p, g, g0):
     g = g[:, 0]
     n = len(g)
     ranks, ties = gini_ranks(g)
-    phi = (g - g0) * (2.0 * ranks - n - 1.0) / n**2
+    ranks *= 2.0  # the rank weights 2 r - n - 1, in place
+    ranks -= n
+    ranks -= 1.0
+    phi = g - g0
+    phi *= ranks
+    phi /= n**2
     return phi, (float(phi.sum()), 0.0), {"gini_ties": ties}
 
 
@@ -578,9 +604,12 @@ class ValueFunction:
 
     def _check(self, z: np.ndarray) -> np.ndarray:
         """What the kind reads of z, features or a resolved baseline (see
-        :class:`Kind`), after checking that every per-agent param fits z."""
+        :class:`Kind`), after checking that every per-agent param fits z.
+        A shared row has no agent axis to fit."""
         if self._spec.row_sums:
             return _row_sums(z)[..., None]
+        if z.ndim == 1:
+            return z
         for name, layout in self._spec.agent_params.items():
             n, D = z.shape
             shape = self.params[name].shape
@@ -600,16 +629,17 @@ class ValueFunction:
         z = _as_features(features)
         return np.broadcast_to(self._gradient(self._check(z)), z.shape).copy()
 
-    def closed_form(self, z: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, tuple, dict]:
-        """(phi, (f(z), f(z0)), metadata) of the path integral from baseline
-        z0, a resolved baseline (see :class:`Kind`); z is an array that
-        :func:`_as_features` accepted."""
-        return self._spec.closed_form(self.params, self._check(z), self._check(z0))
+    def closed_form(self, x: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, tuple, dict]:
+        """(phi, (f(z), f(z0)), metadata) of the path integral from a resolved
+        baseline z0 (see :class:`Kind`) to z, an array that :func:`_as_features`
+        accepted, given what the kind reads of them: x = _check(z), x0 = _check(z0)."""
+        return self._spec.closed_form(self.params, x, x0)
 
-    def check_path(self, z: np.ndarray, z0: np.ndarray) -> None:
+    def check_path(self, x: np.ndarray, x0: np.ndarray) -> None:
         """Raise AspanelError where the straight path from the resolved
-        baseline z0 to z leaves the domain of f."""
-        self._spec.check_path(self.params, z, z0)
+        baseline to the features leaves the domain of f; x and x0 as in
+        :meth:`closed_form`."""
+        self._spec.check_path(self.params, x, x0)
 
     def covers(self, z0: np.ndarray) -> bool:
         """The kind has a closed form from the resolved baseline z0: a shared

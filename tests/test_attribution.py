@@ -60,6 +60,18 @@ class TestClosedForms:
 
 
 
+def heat_shares_reference(z):
+    """Heat's phi from zero, (v / D) sum_d z_id / s_d, as the closed form built
+    it before: an n x D share array, zero in a column whose sum s_d is zero."""
+    n, D = z.shape
+    sums = z.sum(axis=0)
+    val = float(np.log1p(np.prod(sums / n)))
+    shares = np.zeros_like(z)
+    nonzero = sums != 0
+    shares[:, nonzero] = z[:, nonzero] / sums[nonzero]
+    return shares.sum(axis=1) * (val / D)
+
+
 class TestAnalyticInput:
     @pytest.mark.parametrize("make", [valuefn.linear_mean, valuefn.variance, valuefn.gini])
     def test_nan_features_rejected(self, make):
@@ -77,6 +89,29 @@ class TestAnalyticInput:
         mid = attribution.attribute_path_integral(valuefn.heat(), z, K=200)
         assert res.efficiency_residual() <= 1e-12 * abs(res.delta_v)
         assert np.abs(res.phi - mid.phi).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [31, 2 * valuefn.ROW_SUM_BLOCK + 3])
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 11])
+    def test_heat_shares_match_the_share_array(self, D, n):
+        # the zero-baseline shares are built one column at a time into the
+        # row sum; the n x D share array they replaced gives the same bits on
+        # signed panels, -0.0 entries, and two or more zero column sums
+        rng = np.random.default_rng(D)
+        z = rng.uniform(-1, 1, (n, D))
+        z[rng.random(z.shape) < 0.2] = -0.0
+        cases = [z]
+        if D >= 2:
+            zeroed = z.copy()
+            zeroed[:, 0] = -0.0
+            zeroed[:, 1] = 0.0
+            zeroed[::2, 1], zeroed[1::2, 1] = 0.5, -0.5
+            if n % 2:
+                zeroed[-1, 1] = 0.0
+            cases.append(zeroed)
+        for zz in cases:
+            assert np.count_nonzero(zz.sum(axis=0) == 0) != 1
+            got = attribution.attribute_analytic(valuefn.heat(), zz).phi
+            assert got.tobytes() == heat_shares_reference(zz).tobytes()
 
     @pytest.mark.parametrize("z", [
         [[1.0, 1.0], [-1.0, 2.0]],
@@ -578,6 +613,34 @@ class TestTemporal:
             assert res.phi[:, t] == pytest.approx(single.phi)
             assert res.delta_v[t] == pytest.approx(single.delta_v)
 
+    @staticmethod
+    def planted_panel():
+        """A nonnegative 40 x 4 x 3 panel with agents 1 and 2 tied at every
+        step.  At step 1 column 2 is all zero, where heat keeps one gradient
+        term; at step 2 columns 0 and 1 are, partly as -0.0, where heat's v = 0."""
+        feats = np.abs(np.random.default_rng(5).standard_normal((40, 4, 3)))
+        feats[2] = feats[1]
+        feats[:, 1, 2] = 0.0
+        feats[:, 2, :2] = 0.0
+        feats[::2, 2, 1] = -0.0
+        return panel.FeaturePanel(feats, [f"u{i:02d}" for i in range(40)])
+
+    @pytest.mark.parametrize("method", ["auto", "midpoint"])
+    @pytest.mark.parametrize("baseline", ["zero", "population_mean", "first_step", "custom_vector"])
+    @pytest.mark.parametrize("name", ["lin", "heat", "var", "gini"])
+    def test_matches_per_step_attribute_bit_for_bit(self, name, baseline, method):
+        # the temporal engine takes what f reads of each step and of the baseline once
+        pn = self.planted_panel()
+        f = valuefn.by_name(name)
+        spec = BaselineSpec(baseline, [0.5, 0.25, 1.0] if baseline == "custom_vector" else None)
+        res = attribution.attribute_temporal(f, pn, spec, method, K=7)
+        for t in range(pn.n_steps):
+            single = attribution.attribute(f, pn.step_slice(t), res.baseline, method, K=7)
+            assert res.phi[:, t].tobytes() == single.phi.tobytes()
+            assert res.delta_v[t].tobytes() == np.float64(single.delta_v).tobytes()
+            assert res.value_scale[t].tobytes() == np.float64(single.value_scale).tobytes()
+            assert res.method == single.method
+
     def test_first_step_baseline_zeroes_step0(self):
         pn = self.make_panel()
         res = attribution.attribute_temporal(
@@ -705,3 +768,17 @@ class TestGroupShares:
         assert tres.group_totals(part).tobytes() == want.tobytes()
         with pytest.raises(AspanelError, match="10 tier labels for 40 attributed rows"):
             tres.group_totals(panel.make_tier_partition(z[:10, 0]))
+        # a subset of the partitioned agents, a repeat and an empty tier included
+        sub = [39, 7, 0, 7, 12, 3, 25]
+        sres = attribution.normalize(attribution.attribute(valuefn.variance(), z[sub]))
+        labels = part.labels[sub]
+        assert np.count_nonzero(labels == 0) == 0
+        want = np.array([float(sres.normalized[labels == k].sum()) for k in range(part.n_groups)])
+        assert attribution.tier_shares(sres, part, sub).tobytes() == want.tobytes()
+        # the stored groups are the labels' ascending indices, and read-only
+        for k in range(part.n_groups):
+            assert np.array_equal(part.group_indices(k), np.flatnonzero(part.labels == k))
+        assert part.group_sizes() == [int(np.count_nonzero(part.labels == k))
+                                      for k in range(part.n_groups)]
+        with pytest.raises(ValueError):
+            part.group_indices(0)[0] = 1

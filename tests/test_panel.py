@@ -656,6 +656,37 @@ class TestPanelContainer:
         with pytest.raises(AspanelError):
             panel.FeaturePanel(np.full((2, 1, 3), -1.0), ["a", "b"])
 
+    @pytest.mark.parametrize("entries, match", [
+        ([np.nan], "non-finite"), ([np.inf], "non-finite"), ([-np.inf], "non-finite"),
+        ([-1e-300], "negative"),
+        # non-finite is named first, whatever else the tensor holds
+        ([-1.0, np.nan], "non-finite"), ([np.nan, -1.0], "non-finite"),
+        ([-1.0, np.inf], "non-finite"), ([-np.inf, -1.0], "non-finite"),
+    ], ids=["nan", "inf", "-inf", "negative", "negative-nan", "nan-negative",
+            "negative-inf", "-inf-negative"])
+    def test_bad_entries_named(self, entries, match):
+        feats = np.ones((4, 2, 3))
+        feats.reshape(-1)[[5, 17][:len(entries)]] = entries
+        with pytest.raises(AspanelError, match=f"^panel contains {match} values$"):
+            panel.FeaturePanel(feats, ["a", "b", "c", "d"])
+
+    def test_negative_zero_and_empty_steps_accepted(self):
+        feats = np.ones((2, 1, 3))
+        feats[0, 0, 1] = -0.0
+        assert np.signbit(panel.FeaturePanel(feats, ["a", "b"]).features[0, 0, 1])
+        assert panel.FeaturePanel(np.full((2, 1, 3), -0.0), ["a", "b"]).n_agents == 2
+        assert panel.FeaturePanel(np.empty((2, 0, 3)), ["a", "b"]).n_steps == 0
+
+    def test_save_rejects_ids_made_repeats_after_the_check(self, tmp_path):
+        # the id list can be changed in place after the panel checked it; a
+        # saved file of repeated ids would fail load
+        pn = panel.FeaturePanel(np.ones((3, 1, 3)), ["a", "b", "c"])
+        pn.agent_ids[1] = "a"
+        path = tmp_path / "p.asp"
+        with pytest.raises(AspanelError, match="unique"):
+            pn.save(path)
+        assert not path.exists()
+
     def test_duplicate_ids_rejected(self):
         # adjacent in sorted order, and apart in unsorted ids, where the set decides
         for ids in (["a", "a"], ["a", "a", "b"], ["b", "a", "b"]):

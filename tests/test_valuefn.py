@@ -134,6 +134,21 @@ class TestRowSums:
             assert valuefn._row_sums(view).tobytes() == view.sum(axis=1).tobytes()
         assert valuefn._row_sums(z[0, 0]).tobytes() == z[0, 0].sum().tobytes()
 
+    @pytest.mark.parametrize("D", [1, 3, 7, 8, 9])
+    def test_blocks_steps_and_divisors(self, D):
+        # more rows than one block, a panel's steps on a middle axis, and the
+        # quotients by column divisors with a zero divisor's column as zeros
+        rng = np.random.default_rng(D)
+        z = rng.standard_normal((valuefn.ROW_SUM_BLOCK + 7, 2, D))
+        z[rng.random(z.shape) < 0.2] = -0.0
+        assert valuefn._row_sums(z).tobytes() == z.sum(axis=-1).tobytes()
+        div = rng.standard_normal(D)
+        div[::3], div[1::3] = 0.0, -0.0
+        step = z[:, 1]
+        quotients = np.zeros_like(step)
+        quotients[:, div != 0] = step[:, div != 0] / div[div != 0]
+        assert valuefn._row_sums(step, div).tobytes() == quotients.sum(axis=1).tobytes()
+
 
 # vectors for the rank tests: heavy ties, signed zeros, any finite float, all tied
 RANK_ENTRIES = [st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0, 1.0, -1.0]),
