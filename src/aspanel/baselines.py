@@ -73,9 +73,12 @@ class CoalitionGame:
         """v(C) for each row of an (m, n) boolean coalition matrix."""
         return self._masks(np.asarray(masks, dtype=bool))
 
-    def prefix_values(self, perm: np.ndarray) -> np.ndarray:
-        """v(perm[:t]) for t = 1..n, the coalitions a permutation builds up."""
-        return self._prefixes(perm)
+    def prefix_values(self, perms: np.ndarray) -> np.ndarray:
+        """v(perm[:t]) for t = 1..n, the coalitions a permutation builds up,
+        for each row perm of an (m, n) block of permutations, as an (m, n)
+        array; a single permutation (n,) gives (n,)."""
+        perms = np.asarray(perms)
+        return self._prefixes(np.atleast_2d(perms)).reshape(perms.shape)
 
     def paired_values(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(v(C_j + i), v(C_j - i)) for each row C_j of an (m, n) boolean
@@ -86,8 +89,9 @@ class CoalitionGame:
     def _masks_by_value(self, masks):
         return np.array([self.value(np.flatnonzero(row)) for row in masks])
 
-    def _prefixes_by_value(self, perm):
-        return np.array([self.value(perm[: t + 1]) for t in range(len(perm))])
+    def _prefixes_by_value(self, perms):
+        return np.array([[self.value(perm[: t + 1]) for t in range(len(perm))]
+                         for perm in perms])
 
     def _pairs_by_toggle(self, masks):
         agent = np.eye(self.n, dtype=bool)
@@ -191,6 +195,8 @@ def sampled_shapley(game: CoalitionGame, m: int, seed: Optional[int] = None) -> 
     Each permutation's marginals telescope to v([n]) - v(empty), so the mean
     estimate is efficient to rounding for every m.  Per-permutation seeds derive
     from the root seed by counter, making results independent of scheduling.
+    The permutations come in row blocks, each block's prefix values from one
+    ``prefix_values`` call.
     """
     if m < 1:
         raise AspanelError("need at least one permutation sample")
@@ -199,10 +205,12 @@ def sampled_shapley(game: CoalitionGame, m: int, seed: Optional[int] = None) -> 
 
     def blocks():
         for lo in range(0, m, rows):
-            block = np.empty((min(rows, m - lo), n))
-            for j, contrib in enumerate(block, lo):
-                perm = np.random.default_rng((seed, j) if seed is not None else None).permutation(n)
-                contrib[perm] = np.diff(np.concatenate(([0.0], game.prefix_values(perm))))
+            perms = np.array([
+                np.random.default_rng((seed, j) if seed is not None else None).permutation(n)
+                for j in range(lo, min(lo + rows, m))])
+            block = np.empty(perms.shape)
+            marginals = np.diff(game.prefix_values(perms), prepend=0.0, axis=1)
+            np.put_along_axis(block, perms, marginals, axis=1)
             yield block
 
     mean, stderr = _mean_stderr(blocks(), m)

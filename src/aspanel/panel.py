@@ -126,6 +126,8 @@ class FeaturePanel:
             raise AspanelError("features must be a 3-d (agents, steps, dims) array")
         if feats.shape[0] == 0:
             raise EmptyPanelError("panel has no agents")
+        if feats.shape[2] == 0:
+            raise AspanelError("panel has no feature dims")
         # two reductions and no tensor-sized temporary: a NaN carries
         # through min and max, so non-finite is found before negative, and
         # -0.0 is not below zero

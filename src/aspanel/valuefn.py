@@ -34,11 +34,12 @@ FD_REL_STEP = 1e-6
 
 
 def _as_features(z) -> np.ndarray:
-    """The one coercion of feature input: a finite, nonempty n x D float64 array."""
+    """The one coercion of feature input: a finite n x D float64 array with
+    n, D >= 1."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
-    if z.ndim != 2 or z.shape[0] < 1:
+    if z.ndim != 2 or min(z.shape) < 1:
         raise AspanelError(f"features must be a nonempty n x D array, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise AspanelError("features contain non-finite values")
@@ -197,9 +198,11 @@ class Kind:
     # or none: (stats, mask_values, prefix_values, paired_values).  stats(params,
     # x) runs once per game, and its stats feed mask_values(params, stats,
     # masks), v(C) for each row of an (m, n) boolean matrix, prefix_values(params,
-    # stats, perm), v(perm[:t]) for t = 1..n, and paired_values(params, stats,
-    # masks), the two (m, n) arrays v(C_j + i) and v(C_j - i) for each row j and
-    # agent i, each row's from that row alone; v(empty) = 0
+    # stats, perms), the (m, n) array v(perm_j[:t]) for t = 1..n and each row
+    # perm_j of an (m, n) block of permutations, and paired_values(params,
+    # stats, masks), the two (m, n) arrays v(C_j + i) and v(C_j - i) for each
+    # row j and agent i; each row's values come from that row alone, and
+    # v(empty) = 0
     coalition: Optional[tuple] = None
     required: tuple = ()  # params every caller must supply
     agent_params: dict = field(default_factory=dict)  # name -> "rows" (n x D) | "pairs" (n x n)
@@ -214,6 +217,16 @@ def _lin_phi(p, g, g0):
     phi = g - g0
     phi /= len(g)
     return phi[:, 0], (float(g.mean()), float(g0.mean())), {}
+
+
+def _mean_product(sums, count):
+    """np.prod(sums / count[..., None], axis=-1) bit for bit, one column at a
+    time: numpy multiplies a row's entries in order, and its reduction over a
+    short last axis costs more than the products themselves."""
+    out = sums[..., 0] / count
+    for d in range(1, sums.shape[-1]):
+        out *= sums[..., d] / count
+    return out
 
 
 def _heat_value(p, z) -> float:
@@ -420,19 +433,20 @@ def _gini_paired_values(p, stats, masks):
             np.where(member, toggled, v).take(back, axis=1))
 
 
-def _gini_prefix_values(p, stats, perm):
+def _gini_prefix_values(p, stats, perms):
     # v(perm[:t]) = S_t / t^2, S_t the sum of |g_i - g_j| over the pairs in
-    # the prefix: each new agent s adds its distances to the agents before it
-    h = stats[0][perm]
-    n = len(h)
+    # the prefix: each new agent s adds its distances to the agents before it,
+    # one permutation at a time
+    n = perms.shape[1]
     rows = max(1, GINI_PREFIX_BLOCK // n)
-    added = np.empty(n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        dist = np.abs(h[lo:hi, None] - h[None, :hi])
-        added[lo:hi] = np.tril(dist, lo - 1).sum(axis=1)
+    added = np.empty(perms.shape)
+    for h, out in zip(stats[0][perms], added):
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            dist = np.abs(h[lo:hi, None] - h[None, :hi])
+            out[lo:hi] = np.tril(dist, lo - 1).sum(axis=1)
     t = np.arange(1.0, n + 1)
-    return np.cumsum(added) / (t * t)
+    return np.cumsum(added, axis=1) / (t * t)
 
 
 def _quadratic_value(p, z) -> float:
@@ -490,7 +504,8 @@ def _weighted_sums(p, z):
 def _summed(agent_stats, from_stats) -> tuple:
     """The coalition hooks of a kind whose v(C) is from_stats(params, the
     coalition sums of its agent_stats(params, x), |C|): mask sums as M @ s,
-    prefix sums as cumsum(s[perm])."""
+    prefix sums as cumsum(s[perms]) along each permutation, which adds each
+    one's terms in order as a single permutation's cumsum does."""
 
     def values(p, sums, count):
         safe = np.where(count > 0, count, 1.0)
@@ -500,9 +515,9 @@ def _summed(agent_stats, from_stats) -> tuple:
         m = masks.astype(np.float64)
         return values(p, [m @ s for s in stats], m.sum(axis=1))
 
-    def prefix_values(p, stats, perm):
-        count = np.arange(1, len(perm) + 1, dtype=np.float64)
-        return values(p, [np.cumsum(s[perm], axis=0) for s in stats], count)
+    def prefix_values(p, stats, perms):
+        count = np.arange(1, perms.shape[1] + 1, dtype=np.float64)
+        return values(p, [np.cumsum(s[perms], axis=1) for s in stats], count)
 
     def paired_values(p, stats, masks):
         # row j, agent i: the sums of C_j without i are M_j @ s - M_ji s_i,
@@ -534,7 +549,7 @@ KINDS: dict[str, Kind] = {
         evaluate=_heat_value, gradient=_heat_gradient, closed_form=_heat_phi,
         check_path=_heat_path,
         coalition=_summed(lambda p, z: (z,), lambda p, s, count: np.log1p(
-            np.prod(s[0] / count[..., None], axis=-1))),
+            _mean_product(s[0], count))),
     ),
     "var": Kind(
         evaluate=_var_value, gradient=lambda p, g: (2.0 / len(g)) * (g - g.mean()),

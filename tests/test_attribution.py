@@ -80,6 +80,11 @@ class TestAnalyticInput:
         with pytest.raises(AspanelError):
             attribution.attribute_analytic(make(), z)
 
+    @pytest.mark.parametrize("make", ANALYTIC)
+    def test_zero_feature_dims_rejected(self, make):
+        with pytest.raises(AspanelError, match=r"got shape \(5, 0\)"):
+            attribution.attribute(make(), np.ones((5, 0)))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_heat_keeps_mass_on_signed_panels(self, seed):
         # a column sum of either sign enters the shares; dropping the

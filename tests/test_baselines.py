@@ -37,6 +37,23 @@ def brute_banzhaf(game):
     return phi
 
 
+def shapley_by_permutation(game, m, seed):
+    """sampled_shapley with one prefix_values call per permutation, as the
+    estimator was before it took a block of permutations per call."""
+    n, D = game.features.shape
+    rows = max(1, baselines.SAMPLE_BLOCK // (n * D))
+
+    def blocks():
+        for lo in range(0, m, rows):
+            block = np.empty((min(rows, m - lo), n))
+            for j, contrib in enumerate(block, lo):
+                perm = np.random.default_rng((seed, j)).permutation(n)
+                contrib[perm] = np.diff(np.concatenate(([0.0], game.prefix_values(perm))))
+            yield block
+
+    return baselines._mean_stderr(blocks(), m)
+
+
 def pairwise_game(n, semantics="pin"):
     C = np.full((n, n), 1.0 / n**2)
     np.fill_diagonal(C, 0.0)
@@ -298,6 +315,37 @@ class TestSampled:
             assert r.values.tobytes() == results[0].values.tobytes()
             assert r.stderr.tobytes() == results[0].stderr.tobytes()
 
+    @pytest.mark.parametrize("kind", ["lin", "heat", "var", "gini", "additive", "softplus",
+                                      "custom", "heat-pin"])
+    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("blocks", [0, 1, 2.5])
+    def test_shapley_blocks_match_one_call_per_permutation(self, kind, n, blocks, rng,
+                                                          monkeypatch):
+        # one sample, exactly one block and about two and a half blocks, at
+        # 20 permutations a block for 12 agents x 3 dims
+        monkeypatch.setattr(baselines, "SAMPLE_BLOCK", 20 * 12 * 3)
+        z = np.round(np.abs(rng.standard_normal((n, 3))), 1)  # with ties
+        W = rng.standard_normal((n, 3))
+        f = {"additive": valuefn.additive(W), "softplus": valuefn.softplus_aggregator(W),
+             "custom": valuefn.custom(valuefn.heat().evaluate)}.get(kind)
+        game = CoalitionGame(f or valuefn.by_name(kind.split("-")[0]), z,
+                             semantics="pin" if kind.endswith("-pin") else "restrict")
+        rows = max(1, baselines.SAMPLE_BLOCK // (n * 3))
+        m = max(1, int(blocks * rows))
+        est = baselines.sampled_shapley(game, m, seed=12)
+        values, stderr = shapley_by_permutation(game, m, seed=12)
+        assert est.values.tobytes() == values.tobytes()
+        assert est.stderr.tobytes() == stderr.tobytes()
+
+    @pytest.mark.parametrize("kind", ["lin", "heat", "gini"])
+    def test_shapley_blocks_match_at_the_default_block(self, kind, abs_gaussian):
+        # 100 agents x 3 dims: 218 permutations a block, 545 in two and a half
+        game = CoalitionGame(valuefn.by_name(kind), np.round(abs_gaussian(100, seed=47), 1))
+        est = baselines.sampled_shapley(game, 545, seed=13)
+        values, stderr = shapley_by_permutation(game, 545, seed=13)
+        assert est.values.tobytes() == values.tobytes()
+        assert est.stderr.tobytes() == stderr.tobytes()
+
     def test_banzhaf_converges_to_exact(self, abs_gaussian):
         game = CoalitionGame(valuefn.variance(), abs_gaussian(8, seed=40))
         exact = baselines.exact_banzhaf(game)
@@ -368,6 +416,12 @@ class TestSampled:
         finally:
             tracemalloc.stop()
         assert peak <= m * n + 8 * 8 * baselines.SAMPLE_BLOCK
+
+    @pytest.mark.parametrize("estimator", [baselines.sampled_shapley, baselines.sampled_banzhaf])
+    def test_zero_feature_dims_rejected(self, estimator):
+        # n x 0 features once reached the block size's division by n * D
+        with pytest.raises(AspanelError, match=r"got shape \(5, 0\)"):
+            estimator(CoalitionGame(valuefn.heat(), np.ones((5, 0))), 3, seed=0)
 
     def test_sample_count_validated(self, abs_gaussian):
         game = CoalitionGame(valuefn.heat(), abs_gaussian(4))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -304,6 +305,15 @@ class TestAttribute:
         panel_file.write_bytes(panel_file.read_bytes()[:-1] + b"\xff")
         assert run(["attribute", str(panel_file), "--f", "var",
                     "--out-dir", str(tmp_path)]) == 1
+
+    def test_panel_without_feature_dims_is_data_error(self, tmp_path, capsys):
+        pfile = tmp_path / "flat.asp"
+        pfile.write_bytes(b"ASP1" + struct.pack("<3q", 3, 2, 0) + b"a\nb\nc")
+        out = tmp_path / "a.csv"
+        assert run(["attribute", str(pfile), "--f", "lin", "--out", str(out),
+                    "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: panel has no feature dims\n"
+        assert not out.exists()
 
     def test_truncated_panel_is_data_error(self, panel_file, tmp_path):
         panel_file.write_bytes(panel_file.read_bytes()[:100])

@@ -677,6 +677,15 @@ class TestPanelContainer:
         assert panel.FeaturePanel(np.full((2, 1, 3), -0.0), ["a", "b"]).n_agents == 2
         assert panel.FeaturePanel(np.empty((2, 0, 3)), ["a", "b"]).n_steps == 0
 
+    def test_zero_feature_dims_rejected(self, tmp_path):
+        # attribute_temporal once failed on such a panel with a bare ValueError
+        with pytest.raises(AspanelError, match="no feature dims"):
+            panel.FeaturePanel(np.ones((3, 2, 0)), ["a", "b", "c"])
+        path = tmp_path / "p.asp"
+        path.write_bytes(b"ASP1" + struct.pack("<3q", 3, 2, 0) + b"a\nb\nc")
+        with pytest.raises(AspanelError, match="no feature dims"):
+            panel.FeaturePanel.load(path)
+
     def test_save_rejects_ids_made_repeats_after_the_check(self, tmp_path):
         # the id list can be changed in place after the panel checked it; a
         # saved file of repeated ids would fail load

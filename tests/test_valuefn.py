@@ -150,6 +150,22 @@ class TestRowSums:
         assert valuefn._row_sums(step, div).tobytes() == quotients.sum(axis=1).tobytes()
 
 
+class TestMeanProduct:
+    @pytest.mark.parametrize("D", range(1, 17))
+    def test_bits_match_numpy_prod(self, D):
+        # heat's coalition values: the product of a coalition's column means,
+        # signed, with zeros of either sign, across a wide range of magnitudes
+        rng = np.random.default_rng(D)
+        sums = rng.standard_normal((30, 20, D)) * 10.0 ** rng.integers(-30, 30, (30, 20, D))
+        sums[rng.random(sums.shape) < 0.1] = 0.0
+        sums[rng.random(sums.shape) < 0.1] = -0.0
+        count = rng.integers(1, 50, (30, 20)).astype(np.float64)
+        for s, c in ((sums, count), (sums, count[0]), (sums[:, 0], count[:, 0]),
+                     (np.moveaxis(np.moveaxis(sums, -1, 1).copy(), 1, -1), count)):
+            expect = np.prod(s / c[..., None], axis=-1)
+            assert valuefn._mean_product(s, c).tobytes() == expect.tobytes()
+
+
 # vectors for the rank tests: heavy ties, signed zeros, any finite float, all tied
 RANK_ENTRIES = [st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                 st.floats(allow_nan=False, allow_infinity=False)]
@@ -306,6 +322,11 @@ class TestValidation:
         with pytest.raises(AspanelError):
             valuefn.ValueFunction("mystery")
 
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 3), (0,)])
+    def test_features_without_agents_or_dims_rejected(self, shape):
+        with pytest.raises(AspanelError, match="nonempty n x D"):
+            valuefn.linear_mean().evaluate(np.ones(shape))
+
 
     def test_agent_param_rows_checked_against_features(self, rng):
         f = valuefn.additive(rng.random((3, 2)))
@@ -375,6 +396,19 @@ class TestEveryKind:
     def test_coalition_hooks_all_or_none(self, name):
         hooks = valuefn.KINDS[name].coalition
         assert hooks is None or (len(hooks) == 4 and all(map(callable, hooks)))
+
+    @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.coalition])
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_prefix_blocks_match_single_permutations(self, name, n, abs_gaussian, rng):
+        # a block of permutations gives each row's prefix values as a call
+        # on that permutation alone, bit for bit
+        f = build(name, n, 3, rng)
+        game = baselines.CoalitionGame(f, np.round(abs_gaussian(n, seed=53), 1))  # with ties
+        perms = np.array([rng.permutation(n) for _ in range(25)])
+        block = game.prefix_values(perms)
+        assert block.shape == (25, n)
+        stacked = np.array([game.prefix_values(perm) for perm in perms])
+        assert block.tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("name", [k for k, kind in valuefn.KINDS.items() if kind.coalition])
     def test_paired_rows_independent(self, name, abs_gaussian, rng):
