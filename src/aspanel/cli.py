@@ -28,18 +28,26 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 
 
+def read_text(path) -> str:
+    """A text input file (config, topics, follower snapshot) decoded as
+    UTF-8; bytes that do not decode are an AspanelError, not a traceback."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AspanelError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_kv_config(path) -> dict:
     """Flat key = value config; '#' starts a comment; values keep raw strings."""
     cfg = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise AspanelError(f"bad config line: {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
+    for raw in read_text(path).split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise AspanelError(f"bad config line: {raw.strip()!r}")
+        key, val = line.split("=", 1)
+        cfg[key.strip()] = val.strip()
     return cfg
 
 
@@ -103,17 +111,17 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def cmd_ingest(args) -> int:
-    run = _Run(args)
-    keywords = _split(Path(args.topics).read_text()) if Path(args.topics).exists() else _split(args.topics)
+    keywords = _split(read_text(args.topics) if Path(args.topics).exists() else args.topics)
     snapshot = None
     if args.follower_snapshot:
         try:
             snapshot = {
-                k: int(v) for k, v in json.loads(Path(args.follower_snapshot).read_text()).items()
+                k: int(v) for k, v in json.loads(read_text(args.follower_snapshot)).items()
             }
         except (ValueError, TypeError, OverflowError, AttributeError) as exc:
             raise AspanelError(f"{args.follower_snapshot}: not a JSON object of integer "
                                f"follower counts ({exc})") from None
+    run = _Run(args)
     pn, counters = panel.ingest_jsonl(
         args.events,
         keywords,
@@ -229,6 +237,8 @@ def cmd_study(args) -> int:
         for n in sizes:
             study.check_subset_size(n, pn.n_agents)
         seeds = _cfg_number(cfg, "seeds", " ".join(map(str, range(10))), many=True)
+        if min(seeds, default=0) < 0:
+            raise AspanelError(f"config seeds = {cfg['seeds']!r}: a seed is negative")
         pool_fraction = _cfg_number(cfg, "pool_fraction", study.DEFAULT_POOL_FRACTION, float)
         pool_size = _cfg_number(cfg, "pool_size", study.DEFAULT_POOL_SIZE)
         protocols = _split(cfg.get("protocols", "bias_visibility random" if mode == "flip"
@@ -258,18 +268,16 @@ def cmd_study(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = read_kv_config(args.config) if args.config else {}
-    run = _Run(args, config_path=args.config)
     sizes = _cfg_number(cfg, "sizes", "10 100 1000", many=True)
     methods = _split(cfg.get("methods", " ".join(study.BENCH_METHODS)))
     f = valuefn.by_name(cfg.get("f", "heat"))
-    rows = study.bench_scaling(
-        f,
-        sizes,
-        methods,
-        m_samples=_cfg_number(cfg, "m_samples", 1000),
-        repeats=_cfg_number(cfg, "repeats", 3),
-        seed=args.seed,
-    )
+    m_samples = _cfg_number(cfg, "m_samples", 1000)
+    repeats = _cfg_number(cfg, "repeats", 3)
+    if repeats < 1:
+        raise AspanelError(f"config repeats = {cfg['repeats']!r}: below 1")
+    run = _Run(args, config_path=args.config)
+    rows = study.bench_scaling(f, sizes, methods, m_samples=m_samples, repeats=repeats,
+                               seed=args.seed)
     study.bench_rows_to_csv(run.path("bench.csv"), rows, methods)
     run.finish()
     for r in rows:
@@ -383,6 +391,9 @@ def main(argv=None) -> int:
                 ap.error(f"--exclude {args.exclude!r} is not a valid regex ({exc})")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+        print(f"usage error: --seed {args.seed} is negative", file=sys.stderr)
+        return EXIT_USAGE
     args.argv = argv
     try:
         return args.func(args)

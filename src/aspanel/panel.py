@@ -167,11 +167,13 @@ class FeaturePanel:
     def collapse(self) -> np.ndarray:
         """Agent-level N x D summary: reach (dim 0) at the last step, other
         dims re-log1p'd over the summed per-step counts."""
+        from .valuefn import _row_sums  # valuefn is loaded with the package: a lookup here
+
         out = np.empty((self.n_agents, self.n_dims))
         out[:, 0] = self.features[:, -1, 0]
         for d in range(1, self.n_dims):
             with np.errstate(over="ignore"):
-                out[:, d] = np.log1p(np.expm1(self.features[:, :, d]).sum(axis=1))
+                out[:, d] = np.log1p(_row_sums(np.expm1(self.features[:, :, d])))
             if not np.isfinite(out[:, d]).all():
                 raise AspanelError(f"the summed per-step counts of dim {self.dim_names[d]!r} "
                                    "overflow float64")
@@ -594,6 +596,27 @@ def ingest_jsonl(
 # ---- tier partitioning ---------------------------------------------------
 
 
+def argsort_head(a: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(a, kind="stable")[:k]`` for a 1-d float array, without
+    sorting all of it.  Selection finds the k-th smallest value (Floyd &
+    Rivest 1975); the values below it and the first of its ties in index
+    order are the head, and only those k are sorted.  NaN sorts last and
+    -0.0 ties with 0.0, as in ``np.argsort``."""
+    if k >= len(a):
+        return np.argsort(a, kind="stable")
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    cut = np.partition(a, k - 1)[k - 1]
+    if np.isnan(cut):  # fewer than k numbers: all of them, then the first NaNs
+        at = np.isnan(a)
+        below = ~at
+    else:
+        below, at = a < cut, a == cut
+    below = np.flatnonzero(below)
+    head = np.concatenate([below, np.flatnonzero(at)[:k - len(below)]])
+    return head[np.argsort(a[head], kind="stable")]
+
+
 @dataclass(frozen=True)
 class TierPartition:
     labels: np.ndarray  # per-agent group index, 0 = highest tier
@@ -627,8 +650,10 @@ def make_tier_partition(
 
     Ties are broken by agent id (lexicographic; by index when ``agent_ids``
     is None) so partitions are reproducible.  Group k holds the agents in
-    cumulative-fraction slice k; boundaries are ceil(fraction * N).  Three
-    groups are named top, mid and tail.
+    cumulative-fraction slice k; boundaries are ceil(fraction * N).  Only
+    the agents above the last cut are ranked (:func:`argsort_head`); every
+    other agent gets the last label.  Three groups are named top, mid and
+    tail.
     """
     fracs = tuple(float(f) for f in cut_fractions)
     if any(b <= a for a, b in zip(fracs, fracs[1:])) or fracs[-1] != 1.0 or not fracs[0] > 0:
@@ -641,9 +666,11 @@ def make_tier_partition(
         raise AspanelError(f"cannot split {n} agents into {len(fracs)} groups")
     if agent_ids is not None and len(agent_ids) != n:
         raise AspanelError("agent_ids length must match the tier values")
+    bounds = [math.ceil(f * n) for f in fracs]
+    ranked = bounds[-2] if len(bounds) > 1 else 0  # agents above the last cut
     if agent_ids is None or _strictly_increasing(agent_ids):
         # ids in index order: a stable sort already breaks ties by id
-        order = np.argsort(-metric, kind="stable")
+        order = argsort_head(-metric, ranked)
     else:
         # ids as Python strings, since a numpy string array drops a trailing
         # "\x00"; then a stable sort on the values keeps id order within ties
@@ -651,11 +678,10 @@ def make_tier_partition(
             by_id = np.argsort(np.array(agent_ids, dtype=object), kind="stable")
         except TypeError:
             raise AspanelError("agent ids must be strings") from None
-        order = by_id[np.argsort(-metric[by_id], kind="stable")]
-    bounds = [math.ceil(f * n) for f in fracs]
-    labels = np.empty(n, dtype=np.int64)
+        order = by_id[argsort_head(-metric[by_id], ranked)]
+    labels = np.full(n, len(bounds) - 1, dtype=np.int64)
     lo = 0
-    for k, hi in enumerate(bounds):
+    for k, hi in enumerate(bounds[:-1]):
         labels[order[lo:hi]] = k
         lo = hi
     names = ("top", "mid", "tail") if len(fracs) == 3 else tuple(

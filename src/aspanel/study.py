@@ -13,7 +13,7 @@ import numpy as np
 from . import attribution, baselines
 from .attribution import AttributionResult, attribute, normalize, tier_shares
 from .errors import AspanelError, DegenerateChangeError, InfeasibleError
-from .panel import FeaturePanel, TierPartition, write_table
+from .panel import FeaturePanel, TierPartition, argsort_head, write_table
 from .scalingbias import RescaleReport, optimal_rescale
 from .valuefn import ValueFunction, _kendall_tau_b, _spearman_rho
 
@@ -59,8 +59,11 @@ class SubsetSampler:
 
     ``agent_features`` is the collapsed N x D panel with dims
     (reach, activity, resonance) on the log1p scale.  The biased pools are
-    deterministic functions of the panel, so the score order is computed
-    once here; only :meth:`draw` uses the seed.
+    deterministic functions of the panel: the pool, the first agents of
+    the stable descending score order, is selected once here without
+    sorting the panel (:func:`panel.argsort_head`), and the rest of that
+    order is ranked on the first draw that reaches past the pool, then
+    kept.  Only :meth:`draw` uses the seed.
     """
 
     def __init__(self, agent_features: np.ndarray, protocol: str,
@@ -92,8 +95,8 @@ class SubsetSampler:
             score = np.log1p(b + c) * a if protocol == "bias_topic_x_follow" else b
             psize = min(pool_size, N)
             self.param = float(pool_size)
-        order = np.argsort(-score, kind="stable")  # ties by agent index
-        self.pool, self.rest = order[:psize], order[psize:]
+        self._neg_score = -score  # ascending: the score descending, ties by agent index
+        self.pool = argsort_head(self._neg_score, psize)
 
     def draw(self, n: int, seed: int) -> SubsetSpec:
         """The top agents by score form the pool; draw n of them uniformly.
@@ -106,6 +109,8 @@ class SubsetSampler:
         elif n < len(self.pool):
             idx = rng.choice(self.pool, size=n, replace=False)
         else:
+            if self.rest is None:
+                self.rest = np.argsort(self._neg_score, kind="stable")[len(self.pool):]
             extra = rng.choice(self.rest, size=n - len(self.pool), replace=False)
             idx = np.concatenate([self.pool, extra])
         return SubsetSpec(np.sort(idx), self.protocol, n, seed, self.param)

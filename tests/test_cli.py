@@ -53,6 +53,20 @@ class TestConfig:
         with pytest.raises(AspanelError):
             cli.read_kv_config(p)
 
+    @pytest.mark.parametrize("command", ["study", "bench", "ingest"])
+    def test_text_input_not_utf8_is_data_error(self, events_file, tmp_path, capsys, command):
+        # a study or bench config, or an ingest topics file, that does not
+        # decode ended in a UnicodeDecodeError traceback
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("mode = flip\nf = var  # d\xe9j\xe0 vu\n".encode("latin-1"))
+        argv = {"study": ["study", str(bad)], "bench": ["bench", "--config", str(bad)],
+                "ingest": ["ingest", str(events_file), str(bad), "--window-start", "100",
+                           "--window-end", "300", "--step", "100"]}[command]
+        out = tmp_path / "out"
+        assert run([*argv, "--out-dir", str(out)]) == 1
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngest:
     def test_end_to_end(self, events_file, tmp_path, capsys):
@@ -196,6 +210,15 @@ class TestSeedFlag:
                 "study": [str(study_config("mode = kconv\nf = heat\nK_list = 5\n", 20))]}
         out = tmp_path / "seeded"
         assert run([command, *argv[command], "--seed", "1", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "bench", "verify"])
+    def test_negative_seed_is_one_line_usage_error(self, tmp_path, capsys, command):
+        # numpy's generators reject a negative seed with a ValueError traceback
+        extra = ["--n-agents", "10"] if command == "synth" else []
+        out = tmp_path / "seeded"
+        assert run([command, *extra, "--seed", "-1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "usage error: --seed -1 is negative\n"
         assert not out.exists()
 
     def test_manifest_seed_is_null_where_none_is_drawn(self, panel_file, tmp_path):
@@ -561,6 +584,14 @@ class TestTableBytes:
 
 
 class TestStudy:
+    @pytest.mark.parametrize("mode", ["flip", "rescale"])
+    def test_negative_seed_fails_before_output(self, tmp_path, capsys, study_config, mode):
+        cfg = study_config(f"mode = {mode}\nf = var\nsizes = 50\nseeds = 0 -1\n", 300)
+        out = tmp_path / "out"
+        assert run(["study", str(cfg), "--out-dir", str(out)]) == 1
+        assert "config seeds = '0 -1': a seed is negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flip_mode(self, tmp_path, study_config):
         cfg = study_config("mode = flip\nf = var\nprotocols = bias_visibility random\n"
                            "sizes = 50\nseeds = 0 1 2\n", 2000, seed=7)
@@ -722,6 +753,16 @@ class TestBench:
         cfg.write_text(f"methods = ours_analytic\n{line}\n")
         assert run(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert f"config {line.split()[0]} = " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_fails_before_output(self, tmp_path, capsys, repeats):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"sizes = 10\nmethods = ours_analytic\nrepeats = {repeats}\n")
+        out = tmp_path / "out"
+        assert run(["bench", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"config repeats = {repeats!r}: below 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:

@@ -746,6 +746,18 @@ class TestPanelContainer:
         assert out[0, 0] == pytest.approx(math.log1p(7))  # last-step reach
         assert out[0, 1] == pytest.approx(math.log1p(7))  # log1p(2 + 5)
 
+    @pytest.mark.parametrize("T", range(1, 10))
+    def test_collapse_sums_as_numpy_does(self, rng, T):
+        # the per-step counts are summed in numpy's order, below 8 steps
+        # and at or past its pairwise block alike
+        feats = np.log1p(rng.pareto(1.5, (500, T, 3)) * 100.0)
+        feats[:3] = [[[0.0, -0.0, 0.0]] * T] * 3
+        out = panel.FeaturePanel(feats, [f"a{i:03d}" for i in range(500)]).collapse()
+        assert np.array_equal(out[:, 0], feats[:, -1, 0])
+        for d in (1, 2):
+            expect = np.log1p(np.expm1(feats[:, :, d]).sum(axis=1))
+            assert out[:, d].tobytes() == expect.tobytes()
+
     @pytest.mark.parametrize("steps", [[800.0], [709.5, 709.5]])
     def test_collapse_overflow_is_named(self, steps):
         # expm1(800) overflows, and so does the sum of two expm1(709.5)
@@ -755,7 +767,55 @@ class TestPanelContainer:
             panel.FeaturePanel(feats, ["a", "b"]).collapse()
 
 
+def float_arrays(max_size=40):
+    """1-d float arrays heavy in ties, with +-0.0, +-inf and NaN."""
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+    return st.lists(values, max_size=max_size).map(lambda v: np.array(v, dtype=np.float64))
+
+
+class TestArgsortHead:
+    @settings(max_examples=300, deadline=None)
+    @given(a=float_arrays())
+    def test_equals_the_head_of_a_stable_argsort(self, a):
+        order = np.argsort(a, kind="stable")
+        for k in range(len(a) + 1):
+            head = panel.argsort_head(a, k)
+            assert head.dtype == order.dtype
+            assert np.array_equal(head, order[:k])
+
+
+def reference_tier_labels(metric, fracs, ids):
+    """The tier labels from a full stable sort on (-metric, id)."""
+    n = len(metric)
+    if ids is None or ids == sorted(ids):
+        order = np.argsort(-metric, kind="stable")
+    else:
+        by_id = np.argsort(np.array(ids, dtype=object), kind="stable")
+        order = by_id[np.argsort(-metric[by_id], kind="stable")]
+    labels = np.empty(n, dtype=np.int64)
+    lo = 0
+    for k, f in enumerate(fracs):
+        hi = math.ceil(f * n)
+        labels[order[lo:hi]] = k
+        lo = hi
+    return labels
+
+
 class TestTierPartition:
+    @pytest.mark.parametrize("fracs", [(1.0,), (0.3, 1.0), (0.01, 0.10, 1.0),
+                                       (0.05, 0.2, 0.5, 0.9, 1.0)])
+    @pytest.mark.parametrize("id_order", ["sorted", "shuffled", "none"])
+    def test_labels_match_a_full_sort(self, rng, fracs, id_order):
+        metric = np.concatenate([rng.integers(0, 5, 700).astype(float), rng.pareto(1.5, 300)])
+        metric[::7] = -0.0
+        ids = [f"a{i:04d}" for i in range(len(metric))]
+        if id_order == "shuffled":
+            rng.shuffle(ids)
+        ids = None if id_order == "none" else ids
+        part = panel.make_tier_partition(metric, fracs, agent_ids=ids)
+        assert np.array_equal(part.labels, reference_tier_labels(metric, fracs, ids))
+
     def test_boundaries(self):
         metric = np.arange(200, dtype=np.float64)
         part = panel.make_tier_partition(metric, cut_fractions=(0.01, 0.10, 1.0))

@@ -135,6 +135,31 @@ class TestSamplerAgainstReference:
             assert np.array_equal(sub.indices, ref)
             assert (sub.protocol, sub.n, sub.seed) == (protocol, n, seed)
 
+    @pytest.mark.parametrize("protocol", study.PROTOCOLS)
+    @pytest.mark.parametrize("pool_size", [0, 1, 30, 599, 600])
+    def test_pool_size_matches_reference(self, tied_feats, protocol, pool_size):
+        # draws below the pool, at it and past it into the rest of the order
+        sampler = study.SubsetSampler(tied_feats, protocol, 0.05, pool_size)
+        for n, seed in [(1, 0), (10, 1), (30, 2), (200, 0), (10, 4), (600, 3)]:
+            ref = reference_subset(tied_feats, protocol, n, seed, 0.05, pool_size)
+            assert np.array_equal(sampler.draw(n, seed).indices, ref)
+
+    @pytest.mark.parametrize("pool_size", [0, 20, 150, 300])
+    def test_nan_and_infinite_scores_rank_as_a_full_sort(self, pool_size):
+        # on negative features bias_topic_x_follow scores log1p(b + c) * a:
+        # NaN below b + c = -1 (ranked last, as argsort does) and infinite at it
+        z = np.random.default_rng(5).integers(-2, 3, (300, 3)).astype(float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sampler = study.SubsetSampler(z, "bias_topic_x_follow", 0.05, pool_size)
+            score = np.log1p(z[:, 1] + z[:, 2]) * z[:, 0]
+            for n, seed in [(5, 0), (20, 1), (150, 2), (299, 3), (300, 4)]:
+                ref = reference_subset(z, "bias_topic_x_follow", n, seed, 0.05, pool_size)
+                assert np.array_equal(sampler.draw(n, seed).indices, ref)
+        assert np.isnan(score).any() and np.isinf(score).any()
+        order = np.argsort(-score, kind="stable")
+        assert np.array_equal(sampler.pool, order[:pool_size])
+        assert np.array_equal(sampler.rest, order[pool_size:])
+
     def test_sampler_reuses_its_pool_across_draws(self, tied_feats):
         sampler = study.SubsetSampler(tied_feats, "bias_topic_x_follow", 0.05, 30)
         for n, seed in [(10, 0), (200, 0), (10, 1), (30, 2)]:
