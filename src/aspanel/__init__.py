@@ -3,24 +3,3 @@
 __version__ = "0.1.0"
 
 from . import attribution, baselines, panel, scalingbias, study, valuefn  # noqa: F401
-from .attribution import (  # noqa: F401
-    AttributionResult,
-    BaselineSpec,
-    attribute,
-    attribute_analytic,
-    attribute_path_integral,
-    attribute_temporal,
-    group_share,
-    normalize,
-    tier_shares,
-)
-from .panel import (  # noqa: F401
-    EventRecord,
-    FeaturePanel,
-    SyntheticPanelSpec,
-    TierPartition,
-    generate_synthetic,
-    ingest_events,
-    make_tier_partition,
-)
-from .valuefn import ValueFunction  # noqa: F401

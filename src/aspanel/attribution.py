@@ -262,9 +262,6 @@ class TemporalAttributionResult:
     method: dict
     value_scale: np.ndarray  # (n_steps,), as in AttributionResult
 
-    def agent_totals(self) -> np.ndarray:
-        return self.phi.sum(axis=1)
-
     def step_totals(self) -> np.ndarray:
         return self.phi.sum(axis=0)
 
@@ -332,14 +329,3 @@ def tier_shares(
         partition = TierPartition(partition.labels[idx], partition.group_names)
     return _tier_sums(result.normalized, partition)
 
-
-def group_share(
-    result: AttributionResult,
-    partition: TierPartition,
-    group: int,
-    subset_indices: Optional[Sequence[int]] = None,
-) -> float:
-    """Total normalized share held by one tier; see :func:`tier_shares`."""
-    if not 0 <= group < partition.n_groups:
-        raise AspanelError(f"group {group} is not one of the {partition.n_groups} tiers")
-    return float(tier_shares(result, partition, subset_indices)[group])

@@ -68,11 +68,11 @@ def _cfg_number(cfg: dict, key: str, default, kind=int, many=False):
 
 
 class _Run:
-    """Collects outputs and timings, writes the manifest on close."""
+    """Collects outputs and timings, writes the manifest on close.  The output
+    directory is made with the first output, so a failed command leaves none."""
 
     def __init__(self, args, config_path=None):
         self.out_dir = Path(getattr(args, "out_dir", ".") or ".")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.argv = args.argv
         self.seed = getattr(args, "seed", None)
         self.outputs: list[str] = []
@@ -83,6 +83,7 @@ class _Run:
         self._t0 = time.perf_counter()
 
     def path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         p = self.out_dir / name
         self.outputs.append(str(p))
         return p
@@ -90,6 +91,7 @@ class _Run:
     def finish(self, **sections):
         """Write the manifest; keyword arguments add command-specific sections."""
         self.timings["total_seconds"] = time.perf_counter() - self._t0
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         manifest = {
             "argv": self.argv,
             "config_hash": self.config_hash,
@@ -115,12 +117,15 @@ def cmd_ingest(args) -> int:
     snapshot = None
     if args.follower_snapshot:
         try:
-            snapshot = {
-                k: int(v) for k, v in json.loads(read_text(args.follower_snapshot)).items()
-            }
-        except (ValueError, TypeError, OverflowError, AttributeError) as exc:
+            snapshot = dict(json.loads(read_text(args.follower_snapshot)).items())
+        except (ValueError, AttributeError) as exc:
             raise AspanelError(f"{args.follower_snapshot}: not a JSON object of integer "
                                f"follower counts ({exc})") from None
+        for agent, count in snapshot.items():
+            # a JSON integer: not a float such as 1e308, not true, and within int64
+            if type(count) is not int or not 0 <= count < 2**63:
+                raise AspanelError(f"{args.follower_snapshot}: the follower count of {agent!r} "
+                                   f"is not an integer from 0 to 2**63 - 1")
     run = _Run(args)
     pn, counters = panel.ingest_jsonl(
         args.events,
@@ -269,6 +274,8 @@ def cmd_study(args) -> int:
 def cmd_bench(args) -> int:
     cfg = read_kv_config(args.config) if args.config else {}
     sizes = _cfg_number(cfg, "sizes", "10 100 1000", many=True)
+    if min(sizes, default=1) < 1:
+        raise AspanelError(f"config sizes = {cfg['sizes']!r}: a size is below 1")
     methods = _split(cfg.get("methods", " ".join(study.BENCH_METHODS)))
     f = valuefn.by_name(cfg.get("f", "heat"))
     m_samples = _cfg_number(cfg, "m_samples", 1000)

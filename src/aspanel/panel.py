@@ -383,13 +383,22 @@ def read_events_jsonl(path) -> tuple[list[EventRecord], int]:
     return events, bad
 
 
+# Ingest builds the bucket starts in a Python loop over T and gives each name
+# a row of 3T + 1 int64 counts, so T is bounded before either exists: 2**16
+# steps hold seven years of hourly buckets, with a 1.5 MB row per name.
+MAX_STEPS = 2**16
+
+
 def _n_steps(window: tuple[int, int], step: int) -> int:
     start, end = window
     if end <= start:
         raise AspanelError("window must be nonempty")
     if step <= 0 or (end - start) % step != 0:
         raise AspanelError("step must divide the window into T >= 1 buckets")
-    return (end - start) // step
+    T = (end - start) // step
+    if T > MAX_STEPS:
+        raise AspanelError(f"the window holds {T} steps of {step}, more than {MAX_STEPS}")
+    return T
 
 
 class _EventCounts:

@@ -1,19 +1,19 @@
 """Experimental harness: sampling protocols, flip and rescale studies, rank
-metrics, deletion faithfulness, quadrature sweep, and the wall-clock benchmark."""
+metrics, quadrature sweep, and the wall-clock benchmark."""
 
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import attribution, baselines
 from .attribution import AttributionResult, attribute, normalize, tier_shares
 from .errors import AspanelError, DegenerateChangeError, InfeasibleError
-from .panel import FeaturePanel, TierPartition, argsort_head, write_table
+from .panel import TierPartition, argsort_head, write_table
 from .scalingbias import RescaleReport, optimal_rescale
 from .valuefn import ValueFunction, _kendall_tau_b, _spearman_rho
 
@@ -249,47 +249,6 @@ def rank_agreement(phi_a, phi_b, k: int = 10) -> dict:
     return {"kendall_tau": tau, "spearman_rho": rho, "jaccard_top_k": jac}
 
 
-# ---- deletion faithfulness --------------------------------------------------
-
-
-def deletion_faithfulness(
-    panel: FeaturePanel,
-    f: ValueFunction,
-    attribution_ranking: Sequence[int],
-    k_max: int,
-) -> dict:
-    """Zero the top-k ranked agents' features at the post-midpoint peak step
-    and record the macro drop, normalized by the drop to the zero baseline.
-
-    The target step is the argmax of f over the second half of the window.
-    AUC is the mean drop over k = 1..k_max; a negative drop (f rising after
-    deletion) is recorded, not an error.
-    """
-    n, T, D = panel.features.shape
-    if not 0 < k_max < n:
-        raise AspanelError("k_max must be in [1, n)")
-    ranking = np.asarray(attribution_ranking, dtype=np.int64)
-    if ranking.ndim != 1 or len(ranking) < k_max or not np.all((ranking >= 0) & (ranking < n)):
-        raise AspanelError(f"the ranking must list at least k_max agent indices in [0, {n})")
-    if len(np.unique(ranking)) != len(ranking):
-        raise AspanelError("the ranking must not repeat an agent")
-    half = math.ceil(T / 2) - 1  # 0-based first step of the second half
-    step_vals = [f.evaluate(panel.features[:, t, :]) for t in range(half, T)]
-    t_star = half + int(np.argmax(step_vals))
-    z = panel.features[:, t_star, :]
-    v_full = f.evaluate(z)
-    v_base = f.evaluate(np.zeros_like(z))
-    denom = v_full - v_base
-    if denom == 0.0:
-        raise DegenerateChangeError("macro indicator equals its baseline value at the peak step")
-    drops = {}
-    work = z.copy()
-    for k in range(1, k_max + 1):
-        work[ranking[k - 1]] = 0.0
-        drops[k] = (v_full - f.evaluate(work)) / denom
-    return {"auc": float(np.mean(list(drops.values()))), "drop_at": drops, "t_star": t_star}
-
-
 # ---- quadrature convergence -------------------------------------------------
 
 
@@ -297,17 +256,10 @@ def k_convergence_sweep(
     features: np.ndarray,
     f: ValueFunction,
     K_list: Sequence[int],
-    reference: Union[str, int] = "analytic",
 ) -> list[dict]:
-    """Relative L1 error of the K-point midpoint estimate per K.
-
-    Reference is the closed form when available, otherwise a high-K midpoint
-    run (pass an integer K_ref).
-    """
-    if reference == "analytic":
-        ref = attribution.attribute_analytic(f, features).phi
-    else:
-        ref = attribution.attribute_path_integral(f, features, K=int(reference)).phi
+    """Relative L1 error of the K-point midpoint estimate per K, against the
+    closed form; a kind without one raises :class:`AspanelError`."""
+    ref = attribution.attribute_analytic(f, features).phi
     scale = np.abs(ref).sum()
     if scale == 0.0:
         raise DegenerateChangeError("the reference attribution is zero: no relative error")
@@ -319,12 +271,6 @@ def k_convergence_sweep(
         err = float(np.abs(phi - ref).sum() / scale)
         rows.append({"K": K, "rel_l1_error": err, "seconds": dt})
     return rows
-
-
-def convergence_ratios(rows: list[dict]) -> list[float]:
-    """err(K_i) / err(K_{i+1}) for consecutive sweep entries."""
-    errs = [r["rel_l1_error"] for r in rows]
-    return [e1 / e2 if e2 > 0 else float("inf") for e1, e2 in zip(errs, errs[1:])]
 
 
 # ---- wall-clock benchmark ---------------------------------------------------

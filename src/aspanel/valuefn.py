@@ -1,4 +1,4 @@
-"""Macro value functions: evaluation, analytic gradients, and a Hessian probe.
+"""Macro value functions: evaluation and analytic gradients.
 
 Built-in kinds
 --------------
@@ -728,41 +728,3 @@ def by_name(name: str, **params) -> ValueFunction:
     kind's required parameters, such as ``weights``."""
     return ValueFunction(name, params)
 
-
-# ---- Hessian probe --------------------------------------------------------
-
-
-def hessian_offdiag_probe(
-    f: ValueFunction,
-    features,
-    n_pairs: int = 32,
-) -> float:
-    """Max |d^2 f / dz_{i,d} dz_{j,d'}| over n_pairs cross-agent pairs,
-    drawn with seed 0.
-
-    A numerically-zero probe classifies f as additively separable across
-    agents; a clearly positive probe certifies cross-agent interaction.
-    Uses central mixed second differences.
-    """
-    z = _as_features(features)
-    n, D = z.shape
-    if n < 2:
-        raise AspanelError("Hessian probe needs at least two agents")
-    step = 1e-4  # relative step of the mixed second differences
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    work = z.copy()
-    for _ in range(n_pairs):
-        i, j = rng.choice(n, size=2, replace=False)
-        d, dp = int(rng.integers(D)), int(rng.integers(D))
-        hi = step * max(1.0, abs(z[i, d]))
-        hj = step * max(1.0, abs(z[j, dp]))
-        acc = 0.0
-        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            work[i, d] = z[i, d] + si * hi
-            work[j, dp] = z[j, dp] + sj * hj
-            acc += si * sj * f.evaluate(work)
-            work[i, d] = z[i, d]
-            work[j, dp] = z[j, dp]
-        worst = max(worst, abs(acc / (4.0 * hi * hj)))
-    return worst

@@ -138,15 +138,33 @@ class TestIngest:
         assert code == 1
         assert str(snap) in capsys.readouterr().err
 
-    def test_follower_snapshot_takes_what_int_accepts(self, events_file, tmp_path):
+    def test_follower_snapshot_takes_json_integers(self, events_file, tmp_path):
         snap = tmp_path / "snap.json"
-        snap.write_text('{"alice": "10", "bob": 2.0, "carol": true}')
+        snap.write_text('{"alice": 10, "bob": 9223372036854775807, "carol": 0}')
         out = tmp_path / "panel.asp"
         assert run(["ingest", str(events_file), "solar", "--follower-snapshot", str(snap),
                     "--window-start", "100", "--window-end", "300", "--step", "100",
                     "--out", str(out), "--out-dir", str(tmp_path)]) == 0
         pn = panel.FeaturePanel.load(out)
         assert pn.features[pn.agent_ids.index("alice"), 0, 0] == pytest.approx(np.log1p(10))
+        assert pn.features[pn.agent_ids.index("bob"), 0, 0] == pytest.approx(np.log1p(2.0**63))
+
+    @pytest.mark.parametrize("count", ["-5", "1e308", "true", "1" + "0" * 400, "2.0", '"10"'],
+                             ids=["negative", "float", "bool", "past_int64", "integral_float",
+                                  "string"])
+    def test_follower_count_not_a_json_int64_fails_before_output(self, events_file, tmp_path,
+                                                                capsys, count):
+        snap = tmp_path / "snap.json"
+        snap.write_text(f'{{"carol": 1, "alice": {count}}}')
+        out = tmp_path / "out"
+        code = run(["ingest", str(events_file), "solar", "--follower-snapshot", str(snap),
+                    "--window-start", "100", "--window-end", "300", "--step", "100",
+                    "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {snap}: the follower count of 'alice' is not an integer "
+                       f"from 0 to 2**63 - 1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["events", "topics", "follower_snapshot"])
     def test_directory_input_is_usage_error(self, events_file, tmp_path, capsys, where):
@@ -755,6 +773,15 @@ class TestBench:
         assert f"config {line.split()[0]} = " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("sizes", ["0", "-3", "0 10"])
+    def test_sizes_below_one_fails_before_output(self, tmp_path, capsys, sizes):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"sizes = {sizes}\nmethods = loo\nrepeats = 1\n")
+        out = tmp_path / "out"
+        assert run(["bench", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"config sizes = {sizes!r}: a size is below 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_repeats_below_one_fails_before_output(self, tmp_path, capsys, repeats):
         cfg = tmp_path / "bench.cfg"
@@ -762,6 +789,38 @@ class TestBench:
         out = tmp_path / "out"
         assert run(["bench", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert f"config repeats = {repeats!r}: below 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRunDirectory:
+    """The output directory is made with the first output: a command that
+    fails before writing one leaves no directory."""
+
+    def test_made_on_first_output(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert run(["verify", "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "verify.json"]
+
+    @pytest.mark.parametrize("case", ["bench_unknown_method", "attribute_missing_panel",
+                                      "ingest_negative_snapshot", "ingest_empty_panel"])
+    def test_failed_command_leaves_no_directory(self, events_file, tmp_path, case):
+        out = tmp_path / "out"
+        window = ["--window-start", "100", "--window-end", "300", "--step", "100"]
+        if case == "bench_unknown_method":
+            cfg = tmp_path / "bench.cfg"
+            cfg.write_text("sizes = 10\nmethods = bogus\nrepeats = 1\n")
+            argv, code = ["bench", "--config", str(cfg)], 1
+        elif case == "attribute_missing_panel":
+            argv, code = ["attribute", str(tmp_path / "nope.asp"), "--f", "var"], 2
+        elif case == "ingest_negative_snapshot":
+            snap = tmp_path / "snap.json"
+            snap.write_text('{"alice": -5}')
+            argv, code = ["ingest", str(events_file), "solar", "--follower-snapshot", str(snap),
+                          *window], 1
+        else:  # no event in the window: no agent to write
+            window[1], window[3] = "5000", "5200"
+            argv, code = ["ingest", str(events_file), "solar", *window], 1
+        assert run([*argv, "--out-dir", str(out)]) == code
         assert not out.exists()
 
 

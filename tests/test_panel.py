@@ -168,6 +168,16 @@ class TestIngest:
         with pytest.raises(AspanelError):
             panel.ingest_events(make_events(), ["solar"], (100, 300), 70)
 
+    def test_step_count_is_bounded_before_any_table(self):
+        # the check alone: T = 2**62 buckets is refused before a bucket
+        # start is built, and the bound itself is allowed
+        too_many = f"4611686018427387904 steps of 1, more than {panel.MAX_STEPS}"
+        with pytest.raises(AspanelError, match=too_many):
+            panel._n_steps((0, 2**62), 1)
+        with pytest.raises(AspanelError, match="more than"):
+            panel._n_steps((-(2**63), 2**63 - 1), 3)
+        assert panel._n_steps((5, 5 + 7 * panel.MAX_STEPS), 7) == panel.MAX_STEPS
+
     def test_malformed_events_warned(self):
         evs = make_events() + [panel.EventRecord(130, "x", "follow")]  # no target
         with pytest.warns(UserWarning, match="malformed"):

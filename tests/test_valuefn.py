@@ -284,29 +284,6 @@ class TestGradient:
         assert np.abs(f.gradient(z) - ref.gradient(z)).max() < 1e-6
 
 
-class TestHessianProbe:
-    def test_lin_is_numerically_zero(self, abs_gaussian):
-        probe = valuefn.hessian_offdiag_probe(valuefn.linear_mean(), abs_gaussian(6))
-        assert probe <= 1e-6
-
-    def test_quadratic_cross_matches_coupling(self):
-        C = np.full((3, 3), 1 / 9.0)
-        np.fill_diagonal(C, 0.0)
-        f = valuefn.quadratic_cross(np.zeros((3, 1)), C)
-        probe = valuefn.hessian_offdiag_probe(f, [[1.0], [1.0], [2.0]], n_pairs=16)
-        assert probe == pytest.approx(1 / 9, rel=1e-4)
-
-    def test_heat_clearly_nonlinear(self):
-        z = np.ones((5, 3))
-        probe = valuefn.hessian_offdiag_probe(valuefn.heat(), z, n_pairs=32)
-        # analytic mixed partial of log(1 + m_a m_b m_c) at all-ones is O(1/n^2)
-        assert probe > 1e-4
-
-    def test_additive_is_separable(self, rng):
-        f = valuefn.additive(rng.standard_normal((6, 3)))
-        assert valuefn.hessian_offdiag_probe(f, np.abs(rng.standard_normal((6, 3)))) <= 1e-6
-
-
 class TestValidation:
     def test_asymmetric_coupling_rejected(self):
         C = np.array([[0.0, 1.0], [0.5, 0.0]])
