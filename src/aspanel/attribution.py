@@ -193,6 +193,21 @@ def _attribute(f: ValueFunction, x: np.ndarray, x0: np.ndarray, z0: np.ndarray, 
     return _result(phi, values, z0, named, **meta)
 
 
+def attribute_stack(f: ValueFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed form of f from the zero baseline on each array of a stack
+    z, (S, n, D) float64 and finite, f a kind that :attr:`ValueFunction.stacks`:
+    phi (S, n), delta_v (S,) and value_scale (S,), row s bit for bit as
+    ``attribute(f, z[s])`` gives them.  AspanelError where attribute raises
+    on some row, which need not be the first such row's error."""
+    if not f.stacks:
+        raise AspanelError(f"kind {f.kind!r} has no closed form over a stack")
+    phi, values, _ = f.closed_form(f._check(z), f._check(np.zeros(z.shape[-1])))
+    v, v0 = (np.asarray(x, dtype=np.float64) for x in values)
+    what = f"{f.kind} attribution (analytic)"
+    _finite(phi, what)
+    return phi, _finite(v - v0, what), np.maximum(np.abs(v), np.abs(v0))
+
+
 def _midpoint(f: ValueFunction, x: np.ndarray, x0: np.ndarray, z0: np.ndarray, K: int,
               permuted: bool, seed: Optional[int]) -> AttributionResult:
     """K-point midpoint quadrature of the gradient from z0 to z: all agents

@@ -55,16 +55,50 @@ def _split(value: str) -> list[str]:
     return [v for v in value.replace(",", " ").split() if v]
 
 
-def _cfg_number(cfg: dict, key: str, default, kind=int, many=False):
-    """Config value ``key`` (``default`` when absent) as one ``kind``, or as a
-    list of them with ``many``; a value that does not parse is an
+# The keys each study mode and bench read, once: key -> (kind, many,
+# default).  A value is one ``kind`` (str for text), or with ``many`` a list
+# of them split on commas and spaces; a default of None is no value.
+_SAMPLING_KEYS = {
+    "sizes": (int, True, "100"),
+    "seeds": (int, True, " ".join(map(str, range(10)))),
+    "pool_fraction": (float, False, str(study.DEFAULT_POOL_FRACTION)),
+    "pool_size": (int, False, str(study.DEFAULT_POOL_SIZE)),
+}
+_STUDY_KEYS = {"mode": (str, False, "flip"), "panel": (str, False, None), "f": (str, True, "var")}
+CONFIG_KEYS = {
+    "flip": {**_STUDY_KEYS, **_SAMPLING_KEYS, "protocols": (str, True, "bias_visibility random"),
+             "cut_fractions": (float, True, "0.01 0.10 1.0")},
+    # the rescale CSV has no protocol column, so one run takes one protocol
+    "rescale": {**_STUDY_KEYS, **_SAMPLING_KEYS, "protocols": (str, True, "bias_visibility")},
+    "kconv": {**_STUDY_KEYS, "K_list": (int, True, "5 10 20 30 50 100 300")},
+    "bench": {"sizes": (int, True, "10 100 1000"), "methods": (str, True, " ".join(study.BENCH_METHODS)),
+              "f": (str, False, "heat"), "m_samples": (int, False, "1000"),
+              "repeats": (int, False, "3")},
+}
+
+
+def _config_values(cfg: dict, reader: str) -> dict:
+    """The value of every key that ``reader`` (a study mode, or bench) reads
+    from a read config, its default where the config has none.  A value that
+    does not parse, and a key that ``reader`` does not read, is an
     AspanelError naming the key."""
-    raw = cfg.get(key, default)
-    try:
-        return [kind(x) for x in _split(raw)] if many else kind(raw)
-    except ValueError:
-        raise AspanelError(f"config {key} = {raw!r}: not "
-                           f"{'a list of ' if many else 'a single '}{kind.__name__}") from None
+    keys = CONFIG_KEYS[reader]
+    values = {}
+    for key, (kind, many, default) in keys.items():
+        raw = cfg.get(key, default)
+        try:
+            values[key] = (raw if raw is None else [kind(x) for x in _split(raw)] if many
+                           else kind(raw))
+        except ValueError:
+            raise AspanelError(f"config {key} = {raw!r}: not "
+                               f"{'a list of ' if many else 'a single '}{kind.__name__}") from None
+    for key in cfg:
+        if key not in keys:
+            known = any(key in other for other in CONFIG_KEYS.values())
+            where = "by bench" if reader == "bench" else f"in {reader} mode"
+            raise AspanelError(f"config key {key!r} is " + (f"not read {where}" if known
+                                                             else "unknown"))
+    return values
 
 
 class _Run:
@@ -226,46 +260,44 @@ def cmd_study(args) -> int:
     mode = cfg.get("mode", "flip")
     if mode not in ("flip", "rescale", "kconv"):
         raise AspanelError(f"unknown study mode {mode!r}")
-    if "panel" not in cfg:
+    c = _config_values(cfg, mode)
+    if c["panel"] is None:
         raise AspanelError("study config has no 'panel = <file>'; write one with aspanel synth")
     # every name and key is checked, and the panel read, before any output
-    fs = [valuefn.by_name(name) for name in _split(cfg.get("f", "var"))]
-    pn = panel.FeaturePanel.load(cfg["panel"])
+    fs = [valuefn.by_name(name) for name in c["f"]]
+    pn = panel.FeaturePanel.load(c["panel"])
     feats = pn.collapse()
     if mode == "flip":
-        cuts = _cfg_number(cfg, "cut_fractions", "0.01 0.10 1.0", float, many=True)
-        part = panel.make_tier_partition(feats[:, 0], cuts, pn.agent_ids)
-    if mode == "kconv":
-        K_list = _cfg_number(cfg, "K_list", "5 10 20 30 50 100 300", many=True)
-    else:
-        sizes = _cfg_number(cfg, "sizes", "100", many=True)
-        for n in sizes:
+        part = panel.make_tier_partition(feats[:, 0], c["cut_fractions"], pn.agent_ids)
+    if mode != "kconv":
+        for n in c["sizes"]:
             study.check_subset_size(n, pn.n_agents)
-        seeds = _cfg_number(cfg, "seeds", " ".join(map(str, range(10))), many=True)
-        if min(seeds, default=0) < 0:
+        if min(c["seeds"], default=0) < 0:
             raise AspanelError(f"config seeds = {cfg['seeds']!r}: a seed is negative")
-        pool_fraction = _cfg_number(cfg, "pool_fraction", study.DEFAULT_POOL_FRACTION, float)
-        pool_size = _cfg_number(cfg, "pool_size", study.DEFAULT_POOL_SIZE)
-        protocols = _split(cfg.get("protocols", "bias_visibility random" if mode == "flip"
-                                   else "bias_visibility"))
-        # the rescale CSV has no protocol column, so one run takes one protocol
+        protocols = c["protocols"]
         if mode == "rescale" and len(protocols) != 1:
             raise AspanelError(f"rescale mode takes exactly one protocol, got {protocols}")
-        # each protocol's pool is ranked once per panel, not once per f
-        samplers = {p: study.SubsetSampler(feats, p, pool_fraction, pool_size) for p in protocols}
+        # each protocol's pool is ranked once per panel, and each subset drawn
+        # once per run, not once per f
+        samplers = {p: study.SubsetSampler(feats, p, c["pool_fraction"], c["pool_size"])
+                    for p in protocols}
 
     run = _Run(args, config_path=args.config)
-    for f in fs:
-        if mode == "flip":
-            rep = study.flip_study(feats, f, part, samplers, sizes, seeds)
+    if mode == "flip":
+        reports = study.flip_study(feats, fs, part, samplers, c["sizes"], c["seeds"])
+        for f, rep in zip(fs, reports):
             rep.to_csv(run.path(f"flip_{f.kind}.csv"))
-        elif mode == "rescale":
-            reports = study.rescale_study(feats, f, samplers[protocols[0]], sizes, seeds)
-            scalingbias.write_reports_csv(run.path(f"rescale_{f.kind}.csv"), reports)
-        else:  # kconv
-            rows = study.k_convergence_sweep(feats, f, K_list)
-            panel.write_table(run.path(f"kconv_{f.kind}.csv"), ["K", "rel_l1_error", "seconds"],
-                              [[r["K"], r["rel_l1_error"], r["seconds"]] for r in rows])
+    elif mode == "rescale":
+        reports = study.rescale_study(feats, fs, samplers[protocols[0]], c["sizes"], c["seeds"])
+        for f, rows in zip(fs, reports):
+            scalingbias.write_reports_csv(run.path(f"rescale_{f.kind}.csv"), rows)
+    else:
+        for f in fs:
+            rows = study.k_convergence_sweep(feats, f, c["K_list"])
+            panel.write_table(run.path(f"kconv_{f.kind}.csv"), ["K", "rel_l1_error"],
+                              [[r["K"], r["rel_l1_error"]] for r in rows])
+            # wall clock belongs with the timings: the table stays the same from run to run
+            run.timings.update({f"kconv_{f.kind}_K{r['K']}_seconds": r["seconds"] for r in rows})
     run.finish()
     print(f"study mode={mode} complete: {len(run.outputs)} output files in {run.out_dir}")
     return EXIT_OK
@@ -273,19 +305,16 @@ def cmd_study(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = read_kv_config(args.config) if args.config else {}
-    sizes = _cfg_number(cfg, "sizes", "10 100 1000", many=True)
-    if min(sizes, default=1) < 1:
+    c = _config_values(cfg, "bench")
+    if min(c["sizes"], default=1) < 1:
         raise AspanelError(f"config sizes = {cfg['sizes']!r}: a size is below 1")
-    methods = _split(cfg.get("methods", " ".join(study.BENCH_METHODS)))
-    f = valuefn.by_name(cfg.get("f", "heat"))
-    m_samples = _cfg_number(cfg, "m_samples", 1000)
-    repeats = _cfg_number(cfg, "repeats", 3)
-    if repeats < 1:
+    f = valuefn.by_name(c["f"])
+    if c["repeats"] < 1:
         raise AspanelError(f"config repeats = {cfg['repeats']!r}: below 1")
     run = _Run(args, config_path=args.config)
-    rows = study.bench_scaling(f, sizes, methods, m_samples=m_samples, repeats=repeats,
-                               seed=args.seed)
-    study.bench_rows_to_csv(run.path("bench.csv"), rows, methods)
+    rows = study.bench_scaling(f, c["sizes"], c["methods"], m_samples=c["m_samples"],
+                               repeats=c["repeats"], seed=args.seed)
+    study.bench_rows_to_csv(run.path("bench.csv"), rows, c["methods"])
     run.finish()
     for r in rows:
         mark = f"{r['seconds']:.3g}s" if r["status"] == "ok" else r["status"]

@@ -47,17 +47,33 @@ def optimal_rescale(
     """
     s = np.asarray(shares_subset, dtype=np.float64)
     t = np.asarray(shares_full_restricted, dtype=np.float64)
-    if s.shape != t.shape or s.ndim != 1 or len(s) < 2:
+    if s.shape != t.shape or s.ndim != 1:
         raise AspanelError("share vectors must be 1-d, equal length >= 2")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
+    return rescale_rows(s[None], t[None], f_kind, [subset_seed])[0]
+
+
+def rescale_rows(shares_subset: np.ndarray, shares_full_restricted: np.ndarray,
+                 f_kind: str, subset_seeds: Sequence) -> list[RescaleReport]:
+    """:func:`optimal_rescale` of each pair of rows of two (m, n) float64
+    stacks, the seeds a length-m sequence; the rank correlations in one
+    stacked call, the norms and products row by row as that function takes
+    them.  An invalid row raises its AspanelError, though not necessarily
+    the first such row's."""
+    S, T = shares_subset, shares_full_restricted
+    if S.shape[1] < 2:
+        raise AspanelError("share vectors must be 1-d, equal length >= 2")
+    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(T))):
         raise AspanelError("share vectors contain non-finite values")
-    s_norm = np.linalg.norm(s)
-    t_norm = np.linalg.norm(t)
-    if s_norm == 0.0 or t_norm == 0.0:
-        raise AspanelError("zero-norm share vector")
-    c = float(s @ t) / float(t @ t)
-    eps = float(np.linalg.norm(s - c * t) / s_norm)
-    return RescaleReport(c, eps, valuefn._spearman_rho(s, t), len(s), f_kind, subset_seed)
+    reports = []
+    for s, t, rho, seed in zip(S, T, valuefn._spearman_rho(S, T).tolist(), subset_seeds):
+        s_norm = np.linalg.norm(s)
+        t_norm = np.linalg.norm(t)
+        if s_norm == 0.0 or t_norm == 0.0:
+            raise AspanelError("zero-norm share vector")
+        c = float(s @ t) / float(t @ t)
+        eps = float(np.linalg.norm(s - c * t) / s_norm)
+        reports.append(RescaleReport(c, eps, rho, len(s), f_kind, seed))
+    return reports
 
 
 def linear_reconciliation_factor(mu_values_full, subset: Sequence[int]) -> float:

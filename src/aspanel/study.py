@@ -14,8 +14,8 @@ from . import attribution, baselines
 from .attribution import AttributionResult, attribute, normalize, tier_shares
 from .errors import AspanelError, DegenerateChangeError, InfeasibleError
 from .panel import TierPartition, argsort_head, write_table
-from .scalingbias import RescaleReport, optimal_rescale
-from .valuefn import ValueFunction, _kendall_tau_b, _spearman_rho
+from .scalingbias import optimal_rescale, rescale_rows
+from .valuefn import ValueFunction, _as_features, _kendall_tau_b, _spearman_rho
 
 PROTOCOLS = ("bias_visibility", "bias_topic_x_follow", "bias_topic_top", "random")
 DEFAULT_POOL_FRACTION = 0.05
@@ -32,7 +32,8 @@ class SubsetSpec:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
-        if len(np.unique(idx)) != len(idx) or len(idx) != self.n:
+        ordered = np.sort(idx, axis=None)
+        if (ordered[1:] == ordered[:-1]).any() or len(idx) != self.n:
             raise AspanelError("subset indices must be unique and of the declared size")
         object.__setattr__(self, "indices", idx)
 
@@ -156,65 +157,141 @@ def subset_attribution(
     return attribute(f.restrict(subset.indices), agent_features[subset.indices])
 
 
-def _subset_results(agent_features, f, sampler: SubsetSampler, n: int, seeds):
-    """Yield (subset, normalized attribution on it) for each seed's size-n
-    draw, skipping degenerate ones (zero macro change on the subset)."""
-    for seed in seeds:
-        sub = sampler.draw(n, seed)
+# A study cell's draws are attributed in stacks of at most this many agent
+# rows (subsets times their size), so that a stack's features, what the kind
+# reads of them and its shares hold a few MB whatever the subset size
+STUDY_BLOCK_ROWS = 1 << 16
+
+
+def _draw_blocks(sampler: SubsetSampler, n: int, seeds: Sequence[int]):
+    """The size-n draws of ``seeds`` in order, in blocks of at most
+    STUDY_BLOCK_ROWS agent rows: (subsets, their (S, n) indices)."""
+    seeds = list(seeds)
+    step = max(1, STUDY_BLOCK_ROWS // n)
+    for lo in range(0, len(seeds), step):
+        subs = [sampler.draw(n, seed) for seed in seeds[lo:lo + step]]
+        yield subs, np.array([sub.indices for sub in subs])
+
+
+def _subset_results(agent_features, f, subs):
+    """Yield (subset, normalized attribution on it) for each subset, skipping
+    degenerate ones (zero macro change on the subset)."""
+    for sub in subs:
         try:
             yield sub, normalize(subset_attribution(f, agent_features, sub))
         except DegenerateChangeError:
             pass
 
 
+def _block(f, agent_features, subs, idx, stacked, per_row):
+    """One f on one block of subsets: ``stacked(keep, shares)`` on the block's
+    stacked attribution, keep marking the subsets that are not degenerate
+    and shares the normalized attribution on each of them, (kept, n).  A
+    kind without a stacked closed form, or a block where anything raises,
+    goes subset by subset through ``per_row(subset, normalized result)``
+    instead, which raises the first subset's error as it always did."""
+    try:
+        phi, delta_v, scale = attribution.attribute_stack(f, agent_features[idx])
+        keep = ~attribution.degenerate(delta_v, scale)
+        return stacked(keep, phi[keep] / delta_v[keep, None])
+    except AspanelError:
+        return [per_row(sub, res) for sub, res in _subset_results(agent_features, f, subs)]
+
+
+def _tier_rows(shares: np.ndarray, labels: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """:func:`tier_shares` of each row of shares, row s on the agents whose
+    tier labels are labels[s]: a group's shares in ascending agent order,
+    summed by one numpy sum as there."""
+    order = np.argsort(labels, axis=1, kind="stable")
+    ends = np.cumsum([np.count_nonzero(labels == k, axis=1) for k in range(n_groups)], axis=0).T
+    grouped = np.take_along_axis(shares, order, axis=1)
+    return [np.array([row[lo:hi].sum() for lo, hi in zip((0, *cut[:-1]), cut)])
+            for row, cut in zip(grouped, ends.tolist())]
+
+
+def _listed(f):
+    """(the value functions, whether f was one): f is a ValueFunction or a
+    sequence of them."""
+    return ([f], True) if isinstance(f, ValueFunction) else (list(f), False)
+
+
 def flip_study(
     agent_features: np.ndarray,
-    f: ValueFunction,
+    f,
     partition: TierPartition,
     samplers: Mapping[str, SubsetSampler],
     sizes: Sequence[int] = (100,),
     seeds: Sequence[int] = tuple(range(10)),
-) -> FlipReport:
+):
     """Compare tier shares on sampled subsets against the full panel.
 
     ``samplers`` maps each protocol to a :class:`SubsetSampler` built on
     ``agent_features``, so a caller studying several value functions ranks
-    each pool once.  The report has one row per protocol and size,
-    protocols in the mapping's order.  Degenerate cells (zero macro change
-    on the subset) are excluded from the means and counted.
+    each pool once.  ``f`` is a value function, or a sequence of them that
+    share each draw; the result is its :class:`FlipReport`, or a list with
+    one per f.  A report has one row per protocol and size, protocols in the
+    mapping's order.  Degenerate cells (zero macro change on the subset) are
+    excluded from the means and counted.  Each cell's subsets are drawn once
+    and attributed in stacks (:data:`STUDY_BLOCK_ROWS`), every value as the
+    per-subset :func:`subset_attribution`, :func:`normalize` and
+    :func:`tier_shares` give it.
     """
-    full = normalize(attribute(f, agent_features))
-    full_shares = tier_shares(full, partition)
-    report = FlipReport(full_shares, partition.group_names, n_full=len(agent_features))
+    fs, single = _listed(f)
+    z = _as_features(agent_features)
+    reports = []
+    for f in fs:
+        full_shares = tier_shares(normalize(attribute(f, z)), partition)
+        reports.append(FlipReport(full_shares, partition.group_names, n_full=len(z)))
+    G = partition.n_groups
     for protocol, sampler in samplers.items():
         for n in sizes:
-            shares = [tier_shares(res, partition, subset_indices=sub.indices)
-                      for sub, res in _subset_results(agent_features, f, sampler, n, seeds)]
-            arr = np.array(shares) if shares else np.empty((0, partition.n_groups))
-            mean = arr.mean(axis=0) if len(arr) else np.full(partition.n_groups, np.nan)
-            std = arr.std(axis=0) if len(arr) else np.full(partition.n_groups, np.nan)
-            report.rows.append({
-                "protocol": protocol,
-                "n": n,
-                "n_seeds": len(shares),
-                "n_degenerate": len(seeds) - len(shares),
-                "mean_shares": mean,
-                "std_shares": std,
-                "delta_pp": (mean - full_shares) * 100.0,
-                "per_seed_shares": arr,
-            })
-    return report
+            shares = [[] for _ in fs]
+            for subs, idx in _draw_blocks(sampler, n, seeds):
+                labels = partition.labels[idx]
+                for f, out in zip(fs, shares):
+                    out += _block(
+                        f, z, subs, idx,
+                        lambda keep, s: _tier_rows(s, labels[keep], G),
+                        lambda sub, res: tier_shares(res, partition, subset_indices=sub.indices))
+            for rep, rows in zip(reports, shares):
+                arr = np.array(rows) if rows else np.empty((0, G))
+                mean = arr.mean(axis=0) if len(arr) else np.full(G, np.nan)
+                std = arr.std(axis=0) if len(arr) else np.full(G, np.nan)
+                rep.rows.append({
+                    "protocol": protocol,
+                    "n": n,
+                    "n_seeds": len(rows),
+                    "n_degenerate": len(seeds) - len(rows),
+                    "mean_shares": mean,
+                    "std_shares": std,
+                    "delta_pp": (mean - rep.full_shares) * 100.0,
+                    "per_seed_shares": arr,
+                })
+    return reports[0] if single else reports
 
 
-def rescale_study(agent_features: np.ndarray, f: ValueFunction, sampler: SubsetSampler,
-                  sizes: Sequence[int] = (100,), seeds: Sequence[int] = tuple(range(10))
-                  ) -> list[RescaleReport]:
+def rescale_study(agent_features: np.ndarray, f, sampler: SubsetSampler,
+                  sizes: Sequence[int] = (100,), seeds: Sequence[int] = tuple(range(10))):
     """One :func:`optimal_rescale` report per size and seed, sizes outer:
     the subset's shares against the full panel's shares restricted to it.
-    Degenerate subsets are skipped.  ``sampler`` is built on ``agent_features``."""
-    full = normalize(attribute(f, agent_features)).normalized
-    return [optimal_rescale(res.normalized, full[sub.indices], f_kind=f.kind, subset_seed=sub.seed)
-            for n in sizes for sub, res in _subset_results(agent_features, f, sampler, n, seeds)]
+    Degenerate subsets are skipped.  ``sampler`` is built on ``agent_features``.
+    ``f`` is a value function, or a sequence of them that share each draw;
+    the result is its list of reports, or one such list per f.  Subsets are
+    drawn and attributed as in :func:`flip_study`."""
+    fs, single = _listed(f)
+    z = _as_features(agent_features)
+    fulls = [normalize(attribute(f, z)).normalized for f in fs]
+    reports = [[] for _ in fs]
+    for n in sizes:
+        for subs, idx in _draw_blocks(sampler, n, seeds):
+            seed_of = np.array([sub.seed for sub in subs], dtype=object)
+            for f, full, out in zip(fs, fulls, reports):
+                out += _block(
+                    f, z, subs, idx,
+                    lambda keep, s: rescale_rows(s, full[idx[keep]], f.kind, seed_of[keep]),
+                    lambda sub, res: optimal_rescale(res.normalized, full[sub.indices],
+                                                     f_kind=f.kind, subset_seed=sub.seed))
+    return reports[0] if single else reports
 
 
 # ---- rank agreement ---------------------------------------------------------
@@ -243,7 +320,7 @@ def rank_agreement(phi_a, phi_b, k: int = 10) -> dict:
     if k < 1:
         raise AspanelError(f"top-k size {k} is below 1")
     tau = _kendall_tau_b(a, b)
-    rho = _spearman_rho(a, b)
+    rho = float(_spearman_rho(a, b))
     ta, tb = top_k_set(a, k), top_k_set(b, k)
     jac = len(ta & tb) / len(ta | tb) if (ta | tb) else 1.0
     return {"kendall_tau": tau, "spearman_rho": rho, "jaccard_top_k": jac}

@@ -57,22 +57,27 @@ def _row_sums(z: np.ndarray, divisors: Optional[np.ndarray] = None) -> np.ndarra
     of -0.0 sums to +0.0); numpy's short-axis reduction costs more than the
     sums themselves.
 
-    With ``divisors``, a length-D row, the row sums of z / divisors, a zero
-    divisor's column taken as zeros, bit for bit as that quotient array
-    sums; below 8 columns no such array is built.  A sum begun on 0.0 is
-    never -0.0, so a column of +0.0 would leave it as it is: it is skipped."""
+    With ``divisors``, of shape (..., D) for z of shape (..., n, D), the row
+    sums of z / divisors, each row of divisors shared by the n rows of z
+    beside it and a zero divisor's column taken as zeros, bit for bit as that
+    quotient array sums; below 8 columns no such array is built.  A sum begun
+    on 0.0 is never -0.0, so a column of zeros of either sign would leave it
+    as it is: a zero divisor is taken as infinite, which gives such zeros."""
     D = z.shape[-1]
+    if divisors is not None:
+        divisors = divisors[..., None, :]
     if D >= 8:
         if divisors is not None:
             z = np.divide(z, divisors, out=np.zeros_like(z), where=divisors != 0)
         return z.sum(axis=-1)
-    columns = range(D) if divisors is None else np.flatnonzero(divisors)
-    rows = z.reshape(-1, D)
-    out = np.zeros(len(rows))
-    for lo in range(0, len(rows), ROW_SUM_BLOCK):
-        block, acc = rows[lo:lo + ROW_SUM_BLOCK], out[lo:lo + ROW_SUM_BLOCK]
-        for d in columns:
-            acc += block[:, d] if divisors is None else block[:, d] / divisors[d]
+    if divisors is not None:
+        divisors = np.where(divisors != 0, divisors, np.inf)
+    rows = z if z.ndim > 1 else z[None]
+    out = np.zeros(rows.shape[:-1])
+    for lo in range(0, rows.shape[-2], ROW_SUM_BLOCK):
+        block, acc = rows[..., lo:lo + ROW_SUM_BLOCK, :], out[..., lo:lo + ROW_SUM_BLOCK]
+        for d in range(D):
+            acc += block[..., d] if divisors is None else block[..., d] / divisors[..., d]
     return out.reshape(z.shape[:-1])
 
 
@@ -82,32 +87,43 @@ def _row_sums(z: np.ndarray, divisors: Optional[np.ndarray] = None) -> np.ndarra
 
 
 def _run_starts(s: np.ndarray) -> np.ndarray:
-    """True at 0 and wherever s differs from the entry before (-0.0 equals 0.0)."""
-    start = np.empty(len(s), dtype=bool)
-    start[:1] = True
-    np.not_equal(s[1:], s[:-1], out=start[1:])
+    """True at the first entry of each row of s and wherever s differs from the
+    entry before it (-0.0 equals 0.0)."""
+    start = np.empty(s.shape, dtype=bool)
+    start[..., :1] = True
+    np.not_equal(s[..., 1:], s[..., :-1], out=start[..., 1:])
     return start
 
 
 def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An ascending order of x and, along it, True where a run of equal values
-    starts.  Tied values share one rank, so the order among them is free."""
-    order = np.argsort(x)
-    return order, _run_starts(x[order])
+    """An ascending order of each row of x and, along it, True where a run of
+    equal values starts.  Tied values share one rank, so the order among them
+    is free."""
+    order = np.argsort(x, axis=-1)
+    return order, _run_starts(np.take_along_axis(x, order, axis=-1))
 
 
-def _midranks(x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _midranks(x: np.ndarray) -> tuple[np.ndarray, object]:
+    """The midranks of each row of x, (..., n), and whether each row has ties
+    (a bool for one row)."""
     order, start = _runs(x)
-    # run k holds the sorted positions edges[k]:edges[k + 1]
-    edges = np.append(np.flatnonzero(start), len(x))
-    ranks = np.empty(len(x))
+    n = x.shape[-1]
+    # run k holds the positions edges[k]:edges[k + 1] of the rows laid end to
+    # end, and every row begins a run
+    edges = np.append(np.flatnonzero(start), start.size)
     # scipy's midrank of a run, .5 * (count[dense] + count[dense - 1] + 1): exact in float64
-    ranks[order] = np.repeat(0.5 * (edges[1:] + edges[:-1] + 1), np.diff(edges))
-    return ranks, len(edges) - 1 < len(x)
+    twice = np.repeat(edges[1:] + edges[:-1] + 1, np.diff(edges)).reshape(x.shape)
+    if x.ndim > 1:
+        twice -= 2 * n * np.arange(start.size // n).reshape(x.shape[:-1] + (1,))
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, 0.5 * twice, axis=-1)
+    ties = start.sum(axis=-1) < n
+    return ranks, ties if x.ndim > 1 else bool(ties)
 
 
-def gini_ranks(g: np.ndarray) -> tuple[np.ndarray, bool]:
-    """1-based ascending ranks of g, ties given their average (mid) rank.
+def gini_ranks(g: np.ndarray) -> tuple[np.ndarray, object]:
+    """1-based ascending ranks of g, ties given their average (mid) rank; g
+    may be a stack of rows, each ranked on its own.
 
     Any rank assignment among ties yields the same Gini value; midranks pin
     down the symmetric subgradient, so identical agents receive identical
@@ -116,15 +132,35 @@ def gini_ranks(g: np.ndarray) -> tuple[np.ndarray, bool]:
     return _midranks(g)
 
 
-def _spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman's rho of two finite vectors of one length >= 2: Pearson's r of
-    their midranks.  NaN, with no warning, when either vector is constant."""
-    if (a == a[0]).all() or (b == b[0]).all():
-        return math.nan
-    # one stacked array as spearmanr builds it: corrcoef of two separate
-    # vectors can differ in the last bit
-    ranks = np.column_stack([_midranks(a)[0], _midranks(b)[0]])
-    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+# Below this many agents every sum of products of centred midranks is exact
+# in float64, in any order: a multiple of 1/4 of at most n (n^2 - 1) / 12,
+# below 2^51
+_EXACT_RANK_SUMS = 1 << 17
+
+
+def _spearman_rho(a: np.ndarray, b: np.ndarray):
+    """Spearman's rho of each pair of rows of two finite (..., n) stacks,
+    n >= 2: Pearson's r of their midranks as np.corrcoef computes it.  NaN,
+    with no warning, where either row is constant."""
+    n = a.shape[-1]
+    ra, rb = _midranks(a)[0], _midranks(b)[0]
+    constant = (a == a[..., :1]).all(axis=-1) | (b == b[..., :1]).all(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # constant rows
+        if n >= _EXACT_RANK_SUMS:
+            # one stacked array per row as spearmanr builds it: corrcoef of two
+            # separate vectors can differ in the last bit
+            rho = np.array([np.corrcoef(np.column_stack(pair), rowvar=False)[1, 0]
+                            for pair in zip(ra.reshape(-1, n), rb.reshape(-1, n))])
+            return np.where(constant, np.nan, rho.reshape(constant.shape))
+        # corrcoef centres on the mean rank (n + 1) / 2, sums the products of
+        # the centred midranks, scales the sums by 1 / (n - 1) and divides by
+        # the standard deviations, b's first
+        ra -= (n + 1) / 2
+        rb -= (n + 1) / 2
+        scale = np.true_divide(1, n - 1)
+        saa, sbb, sab = ((p * q).sum(axis=-1) * scale for p, q in ((ra, ra), (rb, rb), (ra, rb)))
+        rho = np.clip(sab / np.sqrt(sbb) / np.sqrt(saa), -1.0, 1.0)
+    return np.where(constant, np.nan, rho)
 
 
 def _tied_pairs(start: np.ndarray) -> int:
@@ -187,7 +223,9 @@ class Kind:
     # (params, x, x0) -> (phi, (f(z), f(z0)), metadata): the exact path
     # integral from z0, a length-D row shared by every agent or an n x D
     # array, as attribution._resolve_baseline returns it and read as x0, and
-    # the values whose difference delta_v is
+    # the values whose difference delta_v is.  From the zero row x may lead
+    # with stack axes, (..., n, D) for S arrays of n agents: phi is then
+    # (..., n) and the values (...), each array's as its own call gives them
     closed_form: Optional[Callable] = None
     covers: str = "any"  # baselines closed_form integrates: "any" | "shared_row"
     row_sums: bool = False  # f reads z only through g, its row sums
@@ -213,10 +251,16 @@ class Kind:
 # ---- the built-in kinds ---------------------------------------------------
 
 
+def _agent_mean(x):
+    """The mean over the agent axis of what a kind reads, (..., n, D) to
+    (..., D); a shared row (D,) is its own mean."""
+    return x if x.ndim == 1 else x.mean(axis=-2)
+
+
 def _lin_phi(p, g, g0):
     phi = g - g0
-    phi /= len(g)
-    return phi[:, 0], (float(g.mean()), float(g0.mean())), {}
+    phi /= g.shape[-2]
+    return phi[..., 0], (_agent_mean(g)[..., 0], _agent_mean(g0)[..., 0]), {}
 
 
 def _mean_product(sums, count):
@@ -317,27 +361,29 @@ def _heat_path_weights(m0, m1, roots):
 
 
 def _heat_phi(p, z, z0):
-    n, D = z.shape
+    n, D = z.shape[-2:]
     if z0.any():
         # the gradient is the same row for every agent, integrated once
         m0, m1, roots = _heat_path(p, z, z0)
         weights = _heat_path_weights(m0, m1, roots)
         values = float(np.log1p(np.prod(m1))), float(np.log1p(np.prod(m0)))
         return (z - z0) @ weights / n, values, {}
-    sums = z.sum(axis=0)
-    m1 = sums / n  # z.mean(axis=0), bit for bit
-    _heat_check_path([1.0 + float(np.prod(m1))])  # q(tau) = 1 + tau^D prod(m1) is monotone
-    val = float(np.log1p(np.prod(m1)))
+    sums = z.sum(axis=-2)
+    m1 = sums / n  # z.mean(axis=-2), bit for bit
+    prod = np.prod(m1, axis=-1)
+    _heat_check_path(np.ravel(1.0 + prod).tolist())  # q(tau) = 1 + tau^D prod(m1) is monotone
+    val = np.log1p(prod)
     # From zero, phi_i = (v / D) sum_d z_id / sum_j z_jd; a zero column sum
     # means v = 0, so that column is left out rather than divided by zero.
     # With exactly one zero sum s_k, the path integral keeps the k-th gradient
     # term: phi_i = z_ik prod_{d != k}(s_d / n) / (n D); with two or more, phi = 0.
-    zero = np.flatnonzero(sums == 0)
-    if len(zero) == 1:
-        k = zero[0]
-        return z[:, k] * (np.prod(np.delete(sums, k) / n) / (n * D)), (val, 0.0), {}
     phi = _row_sums(z, sums)
-    phi *= val / D
+    phi *= (val / D)[..., None]
+    rows, row_sums = phi.reshape(-1, n), sums.reshape(-1, D)
+    for r in np.flatnonzero((row_sums == 0).sum(axis=1) == 1):
+        k = np.flatnonzero(row_sums[r] == 0)[0]
+        rows[r] = z.reshape(-1, n, D)[r, :, k] * (
+            np.prod(np.delete(row_sums[r], k) / n) / (n * D))
     return phi, (val, 0.0), {}
 
 
@@ -349,13 +395,13 @@ def _var_phi(p, g, g0):
     # The gradient is linear in tau, so phi_i = (g_i - g0_i)((g_i - gbar) +
     # (g0_i - g0bar)) / n; the order of operations keeps g (g - gbar) / n
     # bit for bit at the zero baseline.
-    gbar, g0bar = g.mean(), g0.mean()
+    gbar, g0bar = _agent_mean(g)[..., None, :], _agent_mean(g0)[..., None, :]
     phi = g - gbar
-    value = float(np.mean(phi ** 2))
+    value = _agent_mean(phi ** 2)[..., 0]
     phi -= g0bar - g0
     phi *= g - g0
-    phi /= len(g)
-    return phi[:, 0], (value, float(((g0 - g0bar) ** 2).mean())), {}
+    phi /= g.shape[-2]
+    return phi[..., 0], (value, _agent_mean((g0 - g0bar) ** 2)[..., 0]), {}
 
 
 def _gini_value(p, g) -> float:
@@ -378,8 +424,8 @@ def _gini_phi(p, g, g0):
     # From a shared row z0 every g_i moves as (1 - tau) g0 + tau g_i, so the
     # ranks hold along the path.  The rank weights sum to zero and f(z0) = 0,
     # hence f(z) = delta_v = sum(phi).
-    g = g[:, 0]
-    n = len(g)
+    g = g[..., 0]
+    n = g.shape[-1]
     ranks, ties = gini_ranks(g)
     ranks *= 2.0  # the rank weights 2 r - n - 1, in place
     ranks -= n
@@ -387,7 +433,7 @@ def _gini_phi(p, g, g0):
     phi = g - g0
     phi *= ranks
     phi /= n**2
-    return phi, (float(phi.sum()), 0.0), {"gini_ties": ties}
+    return phi, (phi.sum(axis=-1), 0.0), {"gini_ties": ties}
 
 
 # elements of the pairwise |g_s - g_j| block that _gini_prefix_values holds at once
@@ -675,6 +721,12 @@ class ValueFunction:
     @property
     def has_closed_form(self) -> bool:
         return self._spec.closed_form is not None
+
+    @property
+    def stacks(self) -> bool:
+        """closed_form takes a stack of coalitions of one panel: the kind has
+        a closed form and no per-agent params to restrict."""
+        return self.has_closed_form and not self._spec.agent_params
 
     def restrict(self, indices: Sequence[int]) -> "ValueFunction":
         """Restrict to a coalition by slicing the per-agent params; a kind

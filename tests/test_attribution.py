@@ -144,6 +144,65 @@ class TestAnalyticInput:
         assert np.array_equal(res.phi, [0.0, 0.0])
         assert np.abs(mid.phi).max() <= 1e-15
 
+def stacked_cases(D, n, S=24, seed=0):
+    """A stack of S signed n x D feature arrays with zeros of both signs and
+    ties: in heat's rows one column sum zero, or two; rows of one repeated
+    agent (degenerate under var and gini), and rows of integer features.
+    Column means stay below 1 in magnitude, where heat is defined."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1, 1, (S, n, D)) * 10.0 ** rng.integers(-3, 1, (S, 1, 1))
+    z[rng.random(z.shape) < 0.1] = -0.0
+    z[rng.random(z.shape) < 0.1] = 0.0
+    z[1] = z[1, :1]  # every agent alike
+    z[2] = rng.integers(0, 2, (n, D))  # ties in g
+    if n >= 2:
+        for s, cols in ((3, [0]), (4, [D - 1]), (5, [0, D - 1])):
+            for d in cols:  # opposite pairs: the column sums to exactly zero
+                z[s, :, d] = 0.0
+                z[s, :n - n % 2:2, d], z[s, 1:n - n % 2:2, d] = 0.5, -0.5
+    return z
+
+
+class TestAttributeStack:
+    @pytest.mark.parametrize("kind", ["lin", "heat", "var", "gini"])
+    @pytest.mark.parametrize("D,n", [(1, 1), (1, 7), (3, 2), (3, 9), (3, 100), (8, 33), (9, 40)])
+    def test_each_row_as_attribute_gives_it(self, kind, D, n):
+        f = valuefn.by_name(kind)
+        z = stacked_cases(D, n, seed=D * 1000 + n)
+        phi, delta_v, scale = attribution.attribute_stack(f, z)
+        assert phi.shape == (len(z), n) and delta_v.shape == scale.shape == (len(z),)
+        for s, zs in enumerate(z):
+            want = attribution.attribute(f, zs)
+            assert phi[s].tobytes() == want.phi.tobytes()
+            assert (float(delta_v[s]), float(scale[s])) == (want.delta_v, want.value_scale)
+
+    def test_heat_zero_column_sum_rows(self):
+        # one zero column sum keeps that column's gradient term, two give zero
+        z = stacked_cases(3, 10, seed=1)
+        sums = z.sum(axis=1)
+        assert [int((row == 0).sum()) for row in sums[3:6]] == [1, 1, 2]
+        phi, delta_v, _ = attribution.attribute_stack(valuefn.heat(), z)
+        assert np.abs(phi[3]).max() > 0 and not phi[5].any()
+        assert (delta_v[3:6] == 0).all()
+
+    def test_overflowing_row_raises_as_attribute_does(self):
+        z = np.ones((4, 5, 3))
+        z[2, 0] = 1e104  # that row's column means multiply past float64
+        with np.errstate(over="ignore"):
+            with pytest.raises(AspanelError) as want:
+                attribution.attribute(valuefn.heat(), z[2])
+            with pytest.raises(AspanelError) as got:
+                attribution.attribute_stack(valuefn.heat(), z)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("f", [valuefn.custom(lambda z: float(z.sum())),
+                                   valuefn.additive(np.ones((4, 3)))])
+    def test_kind_without_stacked_closed_form_rejected(self, f):
+        assert not f.stacks
+        with pytest.raises(AspanelError, match="no closed form over a stack"):
+            attribution.attribute_stack(f, np.ones((2, 4, 3)))
+
+
 class TestMidpoint:
     @pytest.mark.parametrize("make", ANALYTIC)
     def test_converges_to_closed_form(self, make, abs_gaussian):

@@ -595,10 +595,12 @@ class TestTableBytes:
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["K", "rel_l1_error", "seconds"])
-            w.writerows([r["K"], repr(float(r["rel_l1_error"])), repr(float(r["seconds"]))]
-                        for r in rows)
+            w.writerow(["K", "rel_l1_error"])
+            w.writerows([r["K"], repr(float(r["rel_l1_error"]))] for r in rows)
         assert (tmp_path / "kconv_heat.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # the wall clock goes to the manifest's timings, not the table
+        timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+        assert [timings[f"kconv_heat_K{r['K']}_seconds"] for r in rows] == self.ODD[3:6]
 
 
 class TestStudy:
@@ -677,7 +679,7 @@ class TestStudy:
         cfg = study_config("mode = kconv\nf = heat\nK_list = 5 10 20\n", 200, law="abs_gaussian")
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
         rows = (tmp_path / "kconv_heat.csv").read_text().strip().split("\n")
-        assert rows[0] == "K,rel_l1_error,seconds"
+        assert rows[0] == "K,rel_l1_error"
         errs = [float(r.split(",")[1]) for r in rows[1:]]
         assert errs == sorted(errs, reverse=True)
 
@@ -753,6 +755,62 @@ class TestStudy:
                            300)
         assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert f"config {key} = {value!r}" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    """Each command reads the keys CONFIG_KEYS declares for it: another key
+    exits 1, naming it, before the run directory exists."""
+
+    @pytest.mark.parametrize("body,message", [
+        # a kconv config that ran the defaults and exited 0
+        ("mode = kconv\nf = heat\nK = 0 -1\ncut_fractions = 0.5 1.0\n",
+         "config key 'K' is unknown"),
+        ("mode = kconv\nf = heat\ncut_fractions = 0.5 1.0\n",
+         "config key 'cut_fractions' is not read in kconv mode"),
+        ("mode = flip\nf = var\nK_list = 5\n", "config key 'K_list' is not read in flip mode"),
+        ("mode = rescale\nf = var\ncut_fractions = 1.0\n",
+         "config key 'cut_fractions' is not read in rescale mode"),
+        ("mode = flip\nf = var\nseed = 3\n", "config key 'seed' is unknown"),
+    ])
+    def test_study_key_not_read_fails_before_output(self, tmp_path, capsys, study_config,
+                                                    body, message):
+        out = tmp_path / "out"
+        assert run(["study", str(study_config(body, 300)), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("size = 10", "config key 'size' is unknown"),
+        ("seeds = 0 1", "config key 'seeds' is not read by bench"),
+    ])
+    def test_bench_key_not_read_fails_before_output(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"methods = loo\nrepeats = 1\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["bench", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_every_mode_runs_on_its_declared_keys(self, tmp_path, study_config):
+        for mode, keys in cli.CONFIG_KEYS.items():
+            if mode == "bench":
+                continue
+            given = {"mode": mode, "f": "var", "sizes": "20", "seeds": "0 1", "K_list": "5 10"}
+            body = "".join(f"{k} = {v}\n" for k, v in given.items() if k in keys)
+            cfg = study_config(body, 300, name=f"{mode}.cfg")
+            assert run(["study", str(cfg), "--out-dir", str(tmp_path / mode)]) == 0
+
+    def test_study_draws_each_subset_once(self, tmp_path, monkeypatch, study_config):
+        drawn = []
+        draw = study.SubsetSampler.draw
+        monkeypatch.setattr(study.SubsetSampler, "draw",
+                            lambda self, n, seed: drawn.append((self.protocol, n, seed))
+                            or draw(self, n, seed))
+        cfg = study_config("mode = flip\nf = var gini heat\nsizes = 20 50\nseeds = 0 1 2\n"
+                           "protocols = random bias_visibility\n", 400)
+        assert run(["study", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert sorted(drawn) == sorted((p, n, seed) for p in ("random", "bias_visibility")
+                                       for n in (20, 50) for seed in range(3))
 
 
 class TestBench:

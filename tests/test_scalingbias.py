@@ -44,6 +44,40 @@ class TestOptimalRescale:
             scalingbias.optimal_rescale([0.1, 0.2], [0.1, 0.2, 0.3])
 
 
+def reference_rescale_row(s, t):
+    """(c*, epsilon, rho) of one row pair as one-row arithmetic and
+    np.corrcoef of the midranks give them."""
+    from scipy.stats import rankdata
+
+    s_norm = np.linalg.norm(s)
+    c = float(s @ t) / float(t @ t)
+    eps = float(np.linalg.norm(s - c * t) / s_norm)
+    if (s == s[0]).all() or (t == t[0]).all():
+        return c, eps, float("nan")
+    ranks = np.column_stack([rankdata(s), rankdata(t)])
+    return c, eps, float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+class TestRescaleRows:
+    def test_each_row_as_one_row_gives_it(self, rng):
+        S = rng.dirichlet(np.ones(80), 30)
+        T = S * rng.uniform(0.5, 2.0, S.shape)
+        S[3] = 1 / 80  # a constant row: NaN rank correlation
+        T[4] = np.round(T[4] * 80, 1)  # ties
+        reports = scalingbias.rescale_rows(S, T, "var", list(range(30)))
+        for k, (s, t, rep) in enumerate(zip(S, T, reports)):
+            assert repr(rep) == repr(scalingbias.optimal_rescale(s, t, "var", k))
+            assert repr((rep.c_star, rep.epsilon, rep.rank_spearman)) == repr(
+                reference_rescale_row(s, t))
+
+    @pytest.mark.parametrize("row,message", [
+        (np.array([0.1, np.inf, 0.2]), "non-finite"), (np.zeros(3), "zero-norm")])
+    def test_invalid_row_raises(self, row, message):
+        S = np.array([[0.2, 0.3, 0.5], row])
+        with pytest.raises(AspanelError, match=message):
+            scalingbias.rescale_rows(S, np.full((2, 3), 0.3), "lin", [0, 1])
+
+
 class TestLinearFactor:
     def test_matches_share_ratio(self, rng):
         # for the linear family, subset shares are c times the full shares

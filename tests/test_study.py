@@ -248,6 +248,160 @@ class TestFlipStudy:
         assert res.phi == pytest.approx(direct.phi, abs=1e-12)
 
 
+def reference_flip_cell(z, f, part, sampler, n, seeds):
+    """One flip cell subset by subset: the tier shares of each
+    non-degenerate seed's subset, and the count of degenerate ones."""
+    shares, degenerate = [], 0
+    for seed in seeds:
+        sub = sampler.draw(n, seed)
+        try:
+            res = attribution.normalize(study.subset_attribution(f, z, sub))
+        except DegenerateChangeError:
+            degenerate += 1
+            continue
+        shares.append(attribution.tier_shares(res, part, subset_indices=sub.indices))
+    return np.array(shares).reshape(-1, part.n_groups), degenerate
+
+
+class CountingSampler(study.SubsetSampler):
+    """A sampler that records each (n, seed) it draws."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.drawn = []
+
+    def draw(self, n, seed):
+        self.drawn.append((n, seed))
+        return super().draw(n, seed)
+
+
+@pytest.fixture(scope="module")
+def tied():
+    """600 agents with ties in every score and in g: pools of 30."""
+    return np.log1p(np.random.default_rng(11).integers(0, 4, (600, 3)).astype(float))
+
+
+@pytest.fixture(scope="module")
+def sparse():
+    """60 agents, 30 of them nonzero in dim 0, agents 0-2 also in dim 1 and
+    3-5 in dim 2, so many small subsets are degenerate and heat's column
+    sums are zero in one dim, in two or in all three."""
+    z = np.zeros((60, 3))
+    z[:30, 0] = 1.0 + np.arange(30)
+    z[:3, 1] = 2.0
+    z[3:6, 2] = 0.5
+    return z
+
+
+class TestStackedStudy:
+    """The stacked study path against the per-subset reference
+    (subset_attribution, normalize, tier_shares, optimal_rescale), exactly."""
+
+    def check_flip(self, z, f, part, samplers, sizes, seeds):
+        rep = study.flip_study(z, f, part, samplers, sizes, seeds)
+        rows = iter(rep.rows)
+        for protocol, sampler in samplers.items():
+            for n in sizes:
+                want, degenerate = reference_flip_cell(z, f, part, sampler, n, seeds)
+                row = next(rows)
+                assert (row["protocol"], row["n"]) == (protocol, n)
+                assert (row["n_seeds"], row["n_degenerate"]) == (len(want), degenerate)
+                assert row["per_seed_shares"].tobytes() == want.tobytes()
+                if len(want):
+                    assert row["mean_shares"].tobytes() == want.mean(axis=0).tobytes()
+                    assert row["std_shares"].tobytes() == want.std(axis=0).tobytes()
+        return rep
+
+    @pytest.mark.parametrize("kind", ["lin", "var", "gini", "heat"])
+    def test_flip_per_seed_equals_subsets(self, tied, kind):
+        # n = 40 reaches past the 30-agent pools, n = 600 is the whole panel
+        part = make_tier_partition(tied[:, 0])
+        samplers = {p: study.SubsetSampler(tied, p, 0.05, 30) for p in study.PROTOCOLS}
+        self.check_flip(tied, valuefn.by_name(kind), part, samplers, (20, 40, 600), range(4))
+
+    @pytest.mark.parametrize("kind", ["lin", "var", "gini", "heat"])
+    def test_degenerate_rows_inside_a_block(self, sparse, kind):
+        part = make_tier_partition(sparse[:, 0])
+        samplers = {"random": study.SubsetSampler(sparse, "random", 0.05, 10)}
+        rep = self.check_flip(sparse, valuefn.by_name(kind), part, samplers, (2, 5, 20),
+                              range(12))
+        assert any(0 < row["n_degenerate"] < 12 for row in rep.rows)
+
+    def test_heat_rows_with_zero_column_sums(self, sparse):
+        sampler = study.SubsetSampler(sparse, "random", 0.05, 10)
+        zeros = {int((sparse[sampler.draw(5, seed).indices].sum(axis=0) == 0).sum())
+                 for seed in range(16)}
+        assert {1, 2, 3} <= zeros
+        self.check_flip(sparse, valuefn.heat(), make_tier_partition(sparse[:, 0]),
+                        {"random": sampler}, (5,), range(16))
+
+    @pytest.mark.parametrize("kind", ["var", "gini"])
+    def test_cell_across_several_blocks(self, tied, kind, monkeypatch):
+        monkeypatch.setattr(study, "STUDY_BLOCK_ROWS", 50)  # two subsets of 20 per block
+        part = make_tier_partition(tied[:, 0])
+        f = valuefn.by_name(kind)
+        sampler = CountingSampler(tied, "bias_visibility", 0.05, 30)
+        self.check_flip(tied, f, part, {"bias_visibility": sampler}, (20, 60), range(7))
+        got = study.rescale_study(tied, f, sampler, (20, 60), range(7))
+        want = reference_rescale(tied, f, sampler, (20, 60), range(7), kind)
+        assert repr(got) == repr(want)
+
+    def test_each_subset_drawn_once_for_every_f(self, tied):
+        part = make_tier_partition(tied[:, 0])
+        fs = [valuefn.by_name(kind) for kind in ("lin", "var", "gini", "heat")]
+        sampler = CountingSampler(tied, "random", 0.05, 30)
+        reports = study.flip_study(tied, fs, part, {"random": sampler}, (20, 40), range(5))
+        assert sampler.drawn == [(n, seed) for n in (20, 40) for seed in range(5)]
+        for f, rep in zip(fs, reports):
+            one = study.flip_study(tied, f, part, {"random": sampler}, (20, 40), range(5))
+            assert repr(rep) == repr(one)
+        sampler.drawn.clear()
+        lists = study.rescale_study(tied, fs, sampler, (20,), range(5))
+        assert sampler.drawn == [(20, seed) for seed in range(5)]
+        for f, reports in zip(fs, lists):
+            assert repr(reports) == repr(study.rescale_study(tied, f, sampler, (20,), range(5)))
+
+    def test_overflowing_row_raises_as_each_subset_does(self):
+        z = np.ones((200, 3))
+        z[0] = 1e104  # the panel's column means multiply within float64, a 5-subset's past it
+        sampler = study.SubsetSampler(z, "random", 0.05, 10)
+        has0 = [0 in sampler.draw(5, seed).indices for seed in range(200)]
+        bad = has0.index(True)
+        seeds = [s for s in range(bad) if not has0[s]][:2] + [bad, bad + 1]
+        part = make_tier_partition(np.arange(200.0))
+        f = valuefn.heat()
+        with np.errstate(over="ignore"):
+            with pytest.raises(AspanelError) as want:
+                reference_flip_cell(z, f, part, sampler, 5, seeds)
+            with pytest.raises(AspanelError) as got:
+                study.flip_study(z, f, part, {"random": sampler}, (5,), seeds)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(AspanelError) as got:
+                study.rescale_study(z, f, sampler, (5,), seeds)
+            assert str(got.value) == str(want.value)
+        assert "overflows" in str(want.value)
+
+    def test_rescale_of_single_agents_raises_as_each_subset_does(self, tied):
+        sampler = study.SubsetSampler(tied, "random", 0.05, 30)
+        with pytest.raises(AspanelError) as want:
+            reference_rescale(tied, valuefn.linear_mean(), sampler, (1,), range(3), "lin")
+        with pytest.raises(AspanelError) as got:
+            study.rescale_study(tied, valuefn.linear_mean(), sampler, (1,), range(3))
+        assert str(got.value) == str(want.value) == "share vectors must be 1-d, equal length >= 2"
+
+    def test_kind_without_closed_form(self, tied):
+        # custom has no closed form: its subsets go one by one through the midpoint
+        f = valuefn.custom(lambda z: float(np.mean(z.sum(axis=1) ** 2)),
+                           grad=lambda z: np.repeat(2 * z.sum(axis=1, keepdims=True) / len(z),
+                                                    z.shape[1], axis=1))
+        part = make_tier_partition(tied[:, 0])
+        samplers = {p: study.SubsetSampler(tied, p, 0.05, 30) for p in ("random", "bias_topic_top")}
+        self.check_flip(tied, f, part, samplers, (10,), range(3))
+        sampler = samplers["random"]
+        assert repr(study.rescale_study(tied, f, sampler, (10,), range(3))) == repr(
+            reference_rescale(tied, f, sampler, (10,), range(3), "custom"))
+
+
 def reference_rescale(z, f, sampler, sizes, seeds, name):
     """The rescale loop as `aspanel study` ran it before `study.rescale_study`."""
     full = attribution.normalize(attribution.attribute(f, z))

@@ -220,6 +220,47 @@ class TestRanksMatchScipy:
         assert same_bits(out["kendall_tau"], tau) and same_bits(out["spearman_rho"], rho)
 
 
+class TestStackedRanks:
+    """Ranks and Spearman's rho of a stack of rows, each row bit for bit as
+    its own call and np.corrcoef give it."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(4)
+        a = rng.integers(-3, 4, (40, 57)).astype(float)
+        a[::3] = rng.standard_normal((14, 57)) * 1e300
+        a[5] = 2.0  # a constant row
+        a[6, ::2] = -0.0  # -0.0 ties with 0.0
+        b = np.round(a / 1e299 + rng.standard_normal(a.shape) * 2)
+        b[7] = -1.5
+        return a, b
+
+    def test_midranks_row_by_row(self, rows):
+        a, _ = rows
+        ranks, ties = valuefn.gini_ranks(a)
+        for row, r, t in zip(a, ranks, ties):
+            one, one_ties = valuefn.gini_ranks(row)
+            assert r.tobytes() == one.tobytes()
+            assert t == one_ties and type(one_ties) is bool
+
+    def test_spearman_as_corrcoef_per_row(self, rows):
+        a, b = rows
+        rho = valuefn._spearman_rho(a, b)
+        for x, y, got in zip(a, b, rho):
+            if (x == x[0]).all() or (y == y[0]).all():
+                assert np.isnan(got)
+                continue
+            ranks = np.column_stack([valuefn._midranks(x)[0], valuefn._midranks(y)[0]])
+            assert same_bits(got, np.corrcoef(ranks, rowvar=False)[1, 0])
+            assert same_bits(got, valuefn._spearman_rho(x, y))
+
+    def test_rows_past_exact_rank_sums_go_through_corrcoef(self, rows, monkeypatch):
+        a, b = rows
+        exact = valuefn._spearman_rho(a, b)
+        monkeypatch.setattr(valuefn, "_EXACT_RANK_SUMS", 2)
+        assert valuefn._spearman_rho(a, b).tobytes() == exact.tobytes()
+
+
 class TestPermutationInvariance:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
